@@ -95,18 +95,24 @@ def _shipped_gamma_records() -> list:
     return json.loads(text)
 
 
+def _same_pair(record: dict, D: int, snr_db: float) -> bool:
+    return record.get("D") == D and abs(record.get("snr_db", 0.0) - snr_db) <= _SNR_MATCH_TOL
+
+
 def load_gamma_table() -> list:
     """Shipped + locally fitted correlation records ({D, snr_db, gamma0,
-    gamma1} dicts); local records override shipped ones per (D, snr_db)."""
-    records = {(r["D"], r["snr_db"]): r for r in _shipped_gamma_records()}
+    gamma1} dicts); a local record overrides any shipped one with the same
+    D and an SNR within the match tolerance."""
+    records = _shipped_gamma_records()
     path = _gamma_table_path()
     if path.exists():
         try:
             for r in json.loads(path.read_text()):
-                records[(r["D"], r["snr_db"])] = r
+                records = [s for s in records
+                           if not _same_pair(s, r["D"], r["snr_db"])] + [r]
         except (json.JSONDecodeError, OSError, KeyError, TypeError):
             pass
-    return sorted(records.values(), key=lambda r: (r["D"], r["snr_db"]))
+    return sorted(records, key=lambda r: (r["D"], r["snr_db"]))
 
 
 def store_gamma(model: CorrelationModel) -> Path:
@@ -119,11 +125,7 @@ def store_gamma(model: CorrelationModel) -> Path:
             records = json.loads(path.read_text())
         except (json.JSONDecodeError, OSError):
             records = []
-    records = [
-        r for r in records
-        if not (r.get("D") == model.D
-                and abs(r.get("snr_db", 0.0) - model.snr_db) <= _SNR_MATCH_TOL)
-    ]
+    records = [r for r in records if not _same_pair(r, model.D, model.snr_db)]
     records.append({"D": model.D, "snr_db": model.snr_db,
                     "gamma0": model.gamma0, "gamma1": model.gamma1})
     records.sort(key=lambda r: (r["D"], r["snr_db"]))
@@ -136,7 +138,7 @@ def store_gamma(model: CorrelationModel) -> Path:
 def lookup_gamma(D: int, snr_db: float) -> CorrelationModel | None:
     """Correlation model for (D, snr_db), or None if no record matches."""
     for r in load_gamma_table():
-        if r["D"] == D and abs(r["snr_db"] - snr_db) <= _SNR_MATCH_TOL:
+        if _same_pair(r, D, snr_db):
             return CorrelationModel(gamma0=r["gamma0"], gamma1=r["gamma1"],
                                     D=D, snr_db=snr_db)
     return None

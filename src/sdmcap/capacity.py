@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import gue, wigner
 from .channel import ChannelSpec
-from .errors import UnsupportedOrderError
+from .errors import DegenerateDistributionError, UnsupportedOrderError
 from .numerics import bisect
 
 _LN10 = math.log(10.0)
@@ -18,6 +18,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 METHOD_GUE = "gue"
 METHOD_WIGNER = "wigner"
 METHOD_AUTO = "auto"
+
+# below this nonzero MDG the D per-mode statistics merge in double precision
+SIGMA_MIN_DB = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,10 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
             cap_means=(c0,) * D, cap_sigmas=(0.0,) * D,
         )
 
+    if spec.sigma_mdg_db < SIGMA_MIN_DB:
+        raise DegenerateDistributionError(
+            f"sigma_mdg_db={spec.sigma_mdg_db} is below {SIGMA_MIN_DB} dB, where the "
+            f"per-mode statistics are not resolvable; use 0 for a flat link")
     if method == METHOD_AUTO:
         method = METHOD_GUE if D <= gue.SUPPORTED_MAX else METHOD_WIGNER
 
@@ -120,7 +127,7 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
                 f"GUE track supports D <= {gue.SUPPORTED_MAX}; got D={D}"
             )
         coeffs = gue.derive_coefficients(D)
-        mu = gue.mean_log_gain(spec, gue.zero_mean_pdf(coeffs, spec.sigma_mdg_db))
+        mu = gue.mean_log_gain(spec, coeffs)
         gain_means = gue.per_mode_means(spec, coeffs, mu)
         gain_sigmas = gue.per_mode_sigmas(spec, coeffs, mu, gain_means)
         partial = PerModeStats(
@@ -140,11 +147,7 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
         )
 
     # semicircle track
-    mu = gue.mean_log_gain(
-        spec,
-        lambda x: wigner.semicircle_pdf(x, spec.sigma_mdg_db, 0.0),
-        support=(-2.0 * spec.sigma_mdg_db, 2.0 * spec.sigma_mdg_db),
-    )
+    mu = wigner.mean_log_gain(spec)
     cap_means = wigner.per_mode_means_from_cdf(spec, mu)
     cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, mu, cap_means)
     gain_means = tuple(

@@ -16,12 +16,13 @@ import json
 import math
 import sys
 
-from . import cache, fitting, gue, total, wigner
+from . import cache, fitting, gue, total
 from .capacity import METHOD_AUTO, METHOD_GUE, METHOD_WIGNER, per_mode_stats
 from .channel import ChannelSpec
 from .errors import (
     CalibrationError,
     CorrelationRangeError,
+    DegenerateDistributionError,
     EnsembleError,
     FitError,
     SdmCapError,
@@ -127,16 +128,7 @@ def cmd_analytic(args) -> int:
         )
         return EXIT_NO_GAMMA
 
-    if spec.sigma_mdg_db == 0:
-        exact_mean = spec.mode_count * math.log2(1.0 + spec.snr_linear)
-    elif stats.method == METHOD_GUE:
-        coeffs = gue.derive_coefficients(spec.mode_count)
-        exact_mean = total.exact_total_mean(spec, gue.unit_variance_pdf(coeffs))
-    else:
-        exact_mean = total.exact_total_mean(
-            spec, lambda x: wigner.semicircle_pdf(x, 1.0, 0.0),
-            support=(-2.0, 2.0),
-        )
+    exact_mean = total.exact_total_mean(spec, stats)
 
     tstats = total.total_stats(stats, model, spec.sigma_mdg_db,
                                mu_ct_exact=exact_mean)
@@ -363,7 +355,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedOrderError, CorrelationRangeError, ValueError) as exc:
+    except (UnsupportedOrderError, CorrelationRangeError, DegenerateDistributionError,
+            ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RANGE
     except (CalibrationError, EnsembleError, TrialError) as exc:

@@ -21,7 +21,7 @@ class QuadratureError(SdmCapError):
 
 
 class RootLocalizationError(SdmCapError):
-    """Root scan found a different number of roots than required."""
+    """The density's stationary points are not the 2D - 1 distinct real ones required."""
 
 
 class DegenerateDistributionError(SdmCapError):

@@ -1,8 +1,9 @@
 """Fixed-trace GUE spectral distribution of the log-scale modal gains.
 
 Provides the exact-rational derivation of the density coefficients, the
-ensemble density itself, the mean that enforces unit linear-scale gain, and
-the per-mode Gaussian approximations obtained from the density's local
+ensemble density itself, the closed-form mean that enforces unit
+linear-scale gain, a Gauss-Hermite rule for expectations under the density,
+and the per-mode Gaussian approximations obtained from the density's local
 maxima.
 """
 
@@ -11,16 +12,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .channel import ChannelSpec
 from .errors import DegenerateDistributionError, RootLocalizationError, UnsupportedOrderError
-from .numerics import RationalPolynomial, find_roots, hermite, integrate
+from .numerics import hermite
 
 SUPPORTED_MIN = 2
 SUPPORTED_MAX = 8
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN10 = math.log(10.0)
+
+
+def _gauss_hermite(n: int):
+    """n-node Gauss-Hermite rule on exp(-t^2): the eigenvalues of the Jacobi
+    matrix, weighted by the Christoffel numbers 1 / sum_k p_k(t)^2 of the
+    orthonormal Hermite polynomials, accurate also for the tiny outer weights."""
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p = np.zeros(n), np.full(n, math.pi ** -0.25)
+    total = p * p
+    for k in range(1, n):
+        p_prev, p = p, (math.sqrt(2.0) * nodes * p - math.sqrt(k - 1) * p_prev) / math.sqrt(k)
+        total += p * p
+    return nodes, 1.0 / total
+
+
+# built at import, so no report runs the eigensolver
+_HERMITE_NODES, _HERMITE_WEIGHTS = _gauss_hermite(80)
 
 
 @dataclass(frozen=True)
@@ -31,6 +53,10 @@ class GueCoefficients:
     D: int
     alpha: float
     beta: tuple  # D exact Fractions, coefficient of ((x - mu)/sigma)^(2k)
+
+    @cached_property
+    def beta_float(self) -> tuple:
+        return tuple(float(b) for b in self.beta)
 
 
 def _double_factorial_odd(j: int) -> int:
@@ -103,85 +129,82 @@ def ensemble_pdf(x: float, spec: ChannelSpec, coeffs: GueCoefficients,
     u = (x - mu_lambda_db) / sigma
     u2 = u * u
     poly = 0.0
-    for b in reversed(coeffs.beta):
-        poly = poly * u2 + float(b)
+    for b in reversed(coeffs.beta_float):
+        poly = poly * u2 + b
     return coeffs.alpha / sigma * math.exp(-0.5 * (coeffs.D + 1) * u2) * poly
-
-
-def zero_mean_pdf(coeffs: GueCoefficients, sigma_mdg_db: float):
-    """Zero-mean ensemble density with deviation ``sigma_mdg_db``, as a callable."""
-    spec = ChannelSpec(coeffs.D, 0.0, sigma_mdg_db)
-    return lambda x: ensemble_pdf(x, spec, coeffs, 0.0)
 
 
 def unit_variance_pdf(coeffs: GueCoefficients):
     """Unit-variance, zero-mean ensemble density shape, as a callable."""
-    return zero_mean_pdf(coeffs, 1.0)
+    spec = ChannelSpec(coeffs.D, 0.0, 1.0)
+    return lambda x: ensemble_pdf(x, spec, coeffs, 0.0)
 
 
-def mean_log_gain(spec: ChannelSpec, zero_mean_density, support=None,
-                  tol: float = 1e-10) -> float:
+def mean_log_gain(spec: ChannelSpec, coeffs: GueCoefficients) -> float:
     """Mean of the log-gain ensemble such that the linear-scale gain mean is 1.
 
-    ``zero_mean_density`` is the sigma-scaled, zero-mean ensemble density
-    (GUE or semicircle).  Infinite bounds are truncated to +-40 sigma; the
-    Gaussian factor of the integrand decays far faster.
+    Completing the square with a = sigma ln(10) / 10 gives E[10^(sigma u / 10)]
+    = alpha sqrt(2 pi / (D+1)) e^(a^2 / (2 (D+1))) sum_j beta_j E[Y^(2j)] for
+    Y ~ N(m, s^2), m = a / (D+1), s^2 = 1 / (D+1), whose moments follow
+    M_n = m M_(n-1) + (n-1) s^2 M_(n-2).
     """
     sigma = spec.sigma_mdg_db
     if sigma == 0:
         return 0.0
-    if support is None:
-        support = (-40.0 * sigma, 40.0 * sigma)
-    linear_mean = integrate(
-        lambda x: 10.0 ** (x / 10.0) * zero_mean_density(x),
-        support[0], support[1], tol=tol, initial_panels=64,
-    )
-    return -10.0 * math.log10(linear_mean)
+    d1 = coeffs.D + 1
+    a = sigma * _LN10 / 10.0
+    moments = [1.0, a / d1]
+    for n in range(2, 2 * coeffs.D - 1):
+        moments.append((a * moments[-1] + (n - 1) * moments[-2]) / d1)
+    poly = sum(b * moments[2 * j] for j, b in enumerate(coeffs.beta_float))
+    log_mean = math.log(coeffs.alpha * math.sqrt(2.0 * math.pi / d1) * poly) + 0.5 * a * a / d1
+    return -10.0 / _LN10 * log_mean
 
 
-def _stationary_polynomial(coeffs: GueCoefficients):
-    """Polynomial in u = (x - mu)/sigma whose roots are the stationary points
-    of the ensemble density."""
+@lru_cache(maxsize=None)
+def gauss_rule(coeffs: GueCoefficients):
+    """(nodes, weights) integrating g(u) against the unit-variance density:
+    the Gauss-Hermite rule on exp(-(D+1) u^2 / 2), with alpha and the beta
+    polynomial folded into the weights."""
+    scale = math.sqrt(2.0 / (coeffs.D + 1))
+    nodes = _HERMITE_NODES * scale
+    poly = np.zeros_like(nodes)
+    for b in reversed(coeffs.beta_float):
+        poly = poly * nodes * nodes + b
+    weights = coeffs.alpha * scale * _HERMITE_WEIGHTS * poly
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _maxima(coeffs: GueCoefficients) -> tuple:
+    """Local maxima of the unit-variance density, ascending.
+
+    The density's derivative is proportional to u Q(u^2), with
+    Q = 2 P' - (D+1) P of degree D - 1 for P the beta polynomial, so the
+    2D - 1 stationary points are 0 and +-sqrt(w) over the roots w of Q:
+    companion-matrix roots, polished by one Newton step on u Q(u^2).
+    Every other point, from the outermost, is a maximum.
+    """
     D = coeffs.D
-    poly = [Fraction(0)] * (2 * D)
-    for k, b in enumerate(coeffs.beta):
-        if k > 0:
-            poly[2 * k - 1] += 2 * k * b
-        poly[2 * k + 1] -= (D + 1) * b
-    return RationalPolynomial(poly)
+    beta = coeffs.beta + (0,)
+    q = np.array([float(2 * (j + 1) * beta[j + 1] - (D + 1) * beta[j]) for j in range(D)])
+    w = np.roots(q[::-1])
+    if np.iscomplexobj(w) or np.any(w <= 0.0):
+        raise RootLocalizationError(f"stationary points of D={D} are not all real")
+    u = np.sort(np.sqrt(w))
+    powers = (u * u)[:, None] ** np.arange(D)
+    u -= u * (powers @ q) / (powers @ ((2 * np.arange(D) + 1) * q))
+    points = [-x for x in reversed(u.tolist())] + [0.0] + u.tolist()
+    if len(points) != 2 * D - 1 or not all(a < b for a, b in zip(points, points[1:])):
+        raise RootLocalizationError(f"expected {2 * D - 1} distinct stationary points for D={D}")
+    return tuple(points[0::2])
 
 
 def per_mode_means(spec: ChannelSpec, coeffs: GueCoefficients,
-                   mu_lambda_db: float, window_sigmas: float = 4.0):
-    """Ordered per-mode log-gain means: the odd-indexed stationary points of
-    the ensemble density, i.e. its local maxima.
-
-    Searches [mu - 4 sigma, mu + 4 sigma]; the scan grid is refined once
-    before failing if fewer than 2D - 1 stationary points are found.
-    """
-    D = coeffs.D
-    sigma = spec.sigma_mdg_db
-    q = _stationary_polynomial(coeffs)
-    qf = [float(cf) for cf in q.coeffs]
-
-    def deriv(u):
-        acc = 0.0
-        for cf in reversed(qf):
-            acc = acc * u + cf
-        return acc
-
-    expected = 2 * D - 1
-    roots = []
-    for grid in (4096, 16384):
-        roots = find_roots(deriv, (-window_sigmas, window_sigmas),
-                           grid_points=grid, tol=1e-13)
-        if len(roots) == expected:
-            break
-    if len(roots) != expected:
-        raise RootLocalizationError(
-            f"expected {expected} stationary points, found {len(roots)} for D={D}"
-        )
-    return [mu_lambda_db + sigma * u for u in roots[0::2]]
+                   mu_lambda_db: float):
+    """Ordered per-mode log-gain means: the local maxima of the ensemble density."""
+    return [mu_lambda_db + spec.sigma_mdg_db * u for u in _maxima(coeffs)]
 
 
 def per_mode_sigmas(spec: ChannelSpec, coeffs: GueCoefficients,

@@ -1,5 +1,6 @@
 """Numeric kernels: exact-rational polynomials, Hermite polynomials,
-adaptive quadrature, bracketed root finding and the inverse error function.
+adaptive quadrature (the reference the closed forms are tested against),
+bisection and the inverse error function.
 """
 
 from __future__ import annotations
@@ -175,31 +176,6 @@ def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> fl
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def find_roots(f, interval, grid_points: int = 4096, tol: float = 1e-12):
-    """All roots of ``f`` on ``interval`` found by a sign-change grid scan
-    refined by bisection.  Returns roots in ascending order; an empty list
-    means no sign change was observed on the grid.
-    """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    lo, hi = interval
-    xs = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
-    fs = [f(x) for x in xs]
-    roots = []
-    for i in range(grid_points - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            if not roots or abs(roots[-1] - xs[i]) > tol:
-                roots.append(xs[i])
-        elif f0 * f1 < 0:
-            r = bisect(f, xs[i], xs[i + 1], tol)
-            if not roots or abs(roots[-1] - r) > tol:
-                roots.append(r)
-    if fs[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
-        roots.append(xs[-1])
-    return roots
 
 
 def inverse_erf(p: float) -> float:

@@ -6,14 +6,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .capacity import PerModeStats
+import numpy as np
+
+from . import gue, wigner
+from .capacity import METHOD_GUE, PerModeStats
 from .channel import ChannelSpec
 from .errors import CorrelationRangeError, DegenerateDistributionError
-from .numerics import integrate, inverse_erf
+from .numerics import inverse_erf
 
 CORRELATION_EXPONENT = 2.75
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+_LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,32 +82,22 @@ def total_stats(stats: PerModeStats, model: CorrelationModel,
                               mu_ct_exact=mu_ct_exact, n_bins=n_bins)
 
 
-def exact_total_mean(spec: ChannelSpec, unit_variance_density, support=(-40.0, 40.0),
-                     tol: float = 1e-9) -> float:
-    """Exact total-capacity mean from the unit-variance zero-mean ensemble
-    density of the log gains."""
+def exact_total_mean(spec: ChannelSpec, stats: PerModeStats) -> float:
+    """Exact total-capacity mean: D times the mean of log2(1 + snr gain) under
+    the ensemble log-gain density with mean ``stats.mu_lambda_db``, by the
+    Gauss rule of the density's track (Gauss-Hermite for the GUE,
+    Gauss-Chebyshev of the second kind for the semicircle)."""
     snr = spec.snr_linear
     sigma = spec.sigma_mdg_db
     if sigma == 0:
         return spec.mode_count * math.log2(1.0 + snr)
-
-    mu = _mean_log_gain_unit(unit_variance_density, sigma, support)
-
-    def integrand(x):
-        return (math.log2(1.0 + snr * 10.0 ** ((sigma * x + mu) / 10.0))
-                * unit_variance_density(x))
-
-    return spec.mode_count * integrate(integrand, support[0], support[1],
-                                       tol=tol, initial_panels=64)
-
-
-def _mean_log_gain_unit(unit_variance_density, sigma_mdg_db, support):
-    # mean enforcing unit linear gain, expressed via the unit-variance shape
-    linear_mean = integrate(
-        lambda x: 10.0 ** (sigma_mdg_db * x / 10.0) * unit_variance_density(x),
-        support[0], support[1], tol=1e-10, initial_panels=64,
-    )
-    return -10.0 * math.log10(linear_mean)
+    if stats.method == METHOD_GUE:
+        nodes, weights = gue.gauss_rule(gue.derive_coefficients(spec.mode_count))
+    else:
+        nodes, weights = wigner.GAUSS_NODES, wigner.GAUSS_WEIGHTS
+    # log2(1 + snr 10^(x / 10)) as a softplus, which cannot overflow
+    exponent = math.log(snr) + (sigma * nodes + stats.mu_lambda_db) * (_LN10 / 10.0)
+    return spec.mode_count * float(np.dot(weights, np.logaddexp(0.0, exponent))) / _LN2
 
 
 def apply_frequency_diversity(stats: TotalCapacityStats, N: int) -> TotalCapacityStats:
@@ -113,15 +109,34 @@ def apply_frequency_diversity(stats: TotalCapacityStats, N: int) -> TotalCapacit
                    n_bins=stats.n_bins * N)
 
 
+def _normal_quantile(p: float) -> float:
+    """Standard-normal quantile, accurate deep into either tail: Newton on the
+    concave log Phi from the inverse-erf estimate, or from -sqrt(-2 ln p)
+    once 2p - 1 rounds to -1.  Above 1/2 by symmetry (1 - p is exact there)."""
+    if p > 0.5:
+        return -_normal_quantile(1.0 - p)
+    x = 2.0 * p - 1.0
+    z = _SQRT_2 * inverse_erf(x) if x > -1.0 else -math.sqrt(-2.0 * math.log(p))
+    for _ in range(50):
+        cdf = 0.5 * math.erfc(-z / _SQRT_2)
+        if cdf == 0.0:
+            raise ValueError(f"p_out={p} is below the representable normal tail")
+        step = math.log(cdf / p) * cdf * _SQRT_2PI / math.exp(-0.5 * z * z)
+        z -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(z)):
+            break
+    return z
+
+
 def outage_capacity(mu: float, sigma: float, p_out: float) -> float:
-    """Gaussian outage capacity sqrt(2) sigma erfinv(2 p_out - 1) + mu."""
+    """Gaussian outage capacity mu + sigma Phi^-1(p_out)."""
     if not 0.0 < p_out < 1.0:
         raise ValueError("p_out must lie in (0, 1)")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return mu
-    return math.sqrt(2.0) * sigma * inverse_erf(2.0 * p_out - 1.0) + mu
+    return sigma * _normal_quantile(p_out) + mu
 
 
 def total_pdf(c: float, stats: TotalCapacityStats) -> float:

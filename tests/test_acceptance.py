@@ -64,7 +64,7 @@ def test_criterion_01_coefficient_derivation():
 def test_criterion_02_mean_log_gain():
     start = time.perf_counter()
     coeffs = gue.derive_coefficients(6)
-    mu = gue.mean_log_gain(CASE_SPEC, gue.zero_mean_pdf(coeffs, 5.0))
+    mu = gue.mean_log_gain(CASE_SPEC, coeffs)
     elapsed = time.perf_counter() - start
     assert mu == pytest.approx(-2.609, abs=0.002)
     assert elapsed < 1.0
@@ -125,9 +125,7 @@ def test_criterion_07_wigner_cdf_vs_quadrature():
     for sigma in (2.5, 5.0, 7.5):
         for snr_db in (5.0, 10.0, 20.0):
             spec = ChannelSpec(20, snr_db, sigma)
-            mu = gue.mean_log_gain(
-                spec, lambda x: wigner.semicircle_pdf(x, sigma, 0.0),
-                support=(-2.0 * sigma, 2.0 * sigma))
+            mu = wigner.mean_log_gain(spec)
             lo, hi = wigner.capacity_support(spec, mu)
             margin = 1e-6 * (hi - lo)
             points = np.linspace(lo + margin, hi - margin, 1000)
@@ -172,7 +170,7 @@ def test_criterion_09_oracle_self_checks():
     assert abs(result.ensemble_gain_std_db - 5.0) <= 0.05
     # pooled gain histogram against the analytic ensemble density
     coeffs = gue.derive_coefficients(6)
-    mu = gue.mean_log_gain(CASE_SPEC, gue.zero_mean_pdf(coeffs, 5.0))
+    mu = gue.mean_log_gain(CASE_SPEC, coeffs)
     samples = np.sort(np.asarray(result.gain_samples).ravel())
     grid = np.linspace(mu - 25.0, mu + 25.0, 4001)
     pdf = np.array([gue.ensemble_pdf(x, CASE_SPEC, coeffs, mu) for x in grid])

@@ -68,6 +68,11 @@ class TestGammaTable:
         table = cache.load_gamma_table()
         assert sum(1 for r in table if r["D"] == 6 and r["snr_db"] == 10.0) == 1
 
+    def test_local_record_overrides_shipped_within_snr_tolerance(self):
+        cache.store_gamma(CorrelationModel(0.1, 0.2, D=6, snr_db=10.0 + 1e-12))
+        assert cache.lookup_gamma(6, 10.0).gamma0 == 0.1
+        assert sum(1 for r in cache.load_gamma_table() if r["D"] == 6) == 1
+
     def test_restore_overwrites_same_pair(self):
         cache.store_gamma(CorrelationModel(0.1, 0.0, D=4, snr_db=10.0))
         cache.store_gamma(CorrelationModel(0.2, 0.0, D=4, snr_db=10.0))

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmcap import cache
 from sdmcap.cli import main
@@ -92,6 +97,45 @@ class TestAnalytic:
         assert out_path.read_text() == out
         assert any(line.startswith("total_mean_bits_per_s_per_hz,")
                    for line in out.splitlines())
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
+class TestAnalyticProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(D=st.integers(2, 100), snr_db=st.floats(0.0, 30.0),
+           sigma=st.floats(0.0, 15.0, exclude_min=True),
+           p_out=st.floats(1e-12, 0.5))
+    def test_report_is_sound_or_a_typed_error(self, D, snr_db, sigma, p_out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analytic", "--modes", str(D), "--snr-db", repr(snr_db),
+                         "--sigma-mdg-db", repr(sigma), "--pout", repr(p_out),
+                         "--gamma", "0,0"])
+        if code != 0:
+            assert code in (2, 3, 4, 5), err.getvalue()
+            assert err.getvalue().startswith("error: ")
+            return
+        r = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in _numbers(r))
+        for key in ("per_mode_gain_mean_db", "per_mode_cap_mean_bits_per_s_per_hz"):
+            assert all(a < b for a, b in zip(r[key], r[key][1:])), key
+        assert all(s > 0 for s in r["per_mode_gain_std_db"]
+                   + r["per_mode_cap_std_bits_per_s_per_hz"]
+                   + [r["total_std_bits_per_s_per_hz"]])
+        outage, mean = r["outage_capacity_bits_per_s_per_hz"], r["total_mean_bits_per_s_per_hz"]
+        assert outage <= mean
+        # within rounding of p = 1/2 the outage offset vanishes against the mean
+        assert outage < mean or p_out > 0.49
 
 
 class TestSimulate:

@@ -6,7 +6,11 @@ import pytest
 
 from sdmcap import gue
 from sdmcap.channel import ChannelSpec
-from sdmcap.errors import DegenerateDistributionError, UnsupportedOrderError
+from sdmcap.errors import (
+    DegenerateDistributionError,
+    RootLocalizationError,
+    UnsupportedOrderError,
+)
 from sdmcap.numerics import integrate
 
 # published density coefficients for D = 6
@@ -97,7 +101,7 @@ class TestMeanLogGain:
     def test_case_study_value(self):
         spec = ChannelSpec(6, 10.0, 5.0)
         coeffs = gue.derive_coefficients(6)
-        mu = gue.mean_log_gain(spec, gue.zero_mean_pdf(coeffs, 5.0))
+        mu = gue.mean_log_gain(spec, coeffs)
         assert mu == pytest.approx(-2.609, abs=0.002)
         assert mu == pytest.approx(MU_LAMBDA_D6_S5, abs=1e-9)
 
@@ -107,7 +111,7 @@ class TestMeanLogGain:
     def test_unit_linear_mean_holds(self):
         spec = ChannelSpec(5, 10.0, 4.0)
         coeffs = gue.derive_coefficients(5)
-        mu = gue.mean_log_gain(spec, gue.zero_mean_pdf(coeffs, 4.0))
+        mu = gue.mean_log_gain(spec, coeffs)
         linear_mean = integrate(
             lambda x: 10.0 ** (x / 10.0) * gue.ensemble_pdf(x, spec, coeffs, mu),
             mu - 80.0, mu + 80.0, tol=1e-10, initial_panels=64,
@@ -128,7 +132,7 @@ class TestPerModeStatistics:
         for D in (2, 3, 5, 8):
             spec = ChannelSpec(D, 10.0, 3.0)
             coeffs = gue.derive_coefficients(D)
-            mu = gue.mean_log_gain(spec, gue.zero_mean_pdf(coeffs, 3.0))
+            mu = gue.mean_log_gain(spec, coeffs)
             means = gue.per_mode_means(spec, coeffs, mu)
             assert len(means) == D
             assert all(a < b for a, b in zip(means, means[1:]))
@@ -136,6 +140,15 @@ class TestPerModeStatistics:
             centered = [m - mu for m in means]
             for lo, hi in zip(centered, reversed(centered)):
                 assert lo == pytest.approx(-hi, abs=1e-7)
+
+    @pytest.mark.parametrize("beta", [
+        (Fraction(1), Fraction(0), Fraction(1)),  # Q(v) = -4 (v^2 - v + 1): complex roots
+        (Fraction(1), Fraction(0)),               # Q(v) = -3: no stationary point but 0
+    ])
+    def test_unlocalizable_stationary_points_raise(self, beta):
+        coeffs = gue.GueCoefficients(D=len(beta), alpha=1.0, beta=beta)
+        with pytest.raises(RootLocalizationError):
+            gue.per_mode_means(ChannelSpec(coeffs.D, 10.0, 3.0), coeffs, 0.0)
 
     def test_means_are_density_maxima(self):
         spec = ChannelSpec(6, 10.0, 5.0)

@@ -9,7 +9,6 @@ from sdmcap.errors import QuadratureError, RootLocalizationError
 from sdmcap.numerics import (
     RationalPolynomial,
     bisect,
-    find_roots,
     hermite,
     integrate,
     inverse_erf,
@@ -86,12 +85,6 @@ class TestRootFinding:
     def test_bisect_cubic(self):
         root = bisect(lambda x: x**3 - 2.0, 0.0, 2.0)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-11)
-
-    def test_find_roots_of_sine(self):
-        roots = find_roots(math.sin, (0.5, 7.0))
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(math.pi, abs=1e-10)
-        assert roots[1] == pytest.approx(2.0 * math.pi, abs=1e-10)
 
 
 class TestInverseErf:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sdmcap import gue, total
+from sdmcap import total
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.errors import CorrelationRangeError, DegenerateDistributionError
@@ -12,7 +12,7 @@ GAMMA0 = 0.43513127
 GAMMA1 = 3.758373e-5
 
 # case-study totals (D=6, SNR=10 dB, sigma_mdg=5 dB)
-MU_CT = 16.823680711116054
+MU_CT = 16.82368071112132  # with the closed-form mean log-gain
 SIGMA_CT = 0.18085141008176162
 MU_CT_EXACT = 16.950472714838153
 OUTAGE_P01 = 16.40295741775506
@@ -61,10 +61,9 @@ class TestTotalStats:
         with pytest.raises(CorrelationRangeError):
             total.total_stats(case_stats, bad, 5.0)
 
-    def test_exact_mean_exceeds_gaussian_sum(self):
+    def test_exact_mean_exceeds_gaussian_sum(self, case_stats):
         spec = ChannelSpec(6, 10.0, 5.0)
-        coeffs = gue.derive_coefficients(6)
-        exact = total.exact_total_mean(spec, gue.unit_variance_pdf(coeffs))
+        exact = total.exact_total_mean(spec, case_stats)
         assert exact == pytest.approx(MU_CT_EXACT, abs=1e-6)
         assert exact > MU_CT
 
@@ -113,6 +112,13 @@ class TestOutage:
             c = total.outage_capacity(mu, sigma, p)
             cdf = 0.5 * (1.0 + math.erf((c - mu) / (sigma * math.sqrt(2.0))))
             assert cdf == pytest.approx(p, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-12])
+    def test_deep_tail(self, p):
+        mu, sigma = 10.0, 0.5
+        c = total.outage_capacity(mu, sigma, p)
+        cdf = 0.5 * math.erfc(-(c - mu) / (sigma * math.sqrt(2.0)))
+        assert cdf == pytest.approx(p, rel=1e-9)
 
     def test_median_and_degenerate(self):
         assert total.outage_capacity(10.0, 0.5, 0.5) == pytest.approx(10.0)
