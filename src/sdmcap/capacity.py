@@ -90,7 +90,11 @@ def per_mode_capacity_mean(i: int, stats: PerModeStats, snr_linear: float,
 def per_mode_capacity_sigma(i: int, stats: PerModeStats, snr_linear: float,
                             mu_ci: float) -> float:
     """Gaussian-matched capacity deviation 1 / (sqrt(2 pi) f_Ci(mu_Ci))."""
-    return 1.0 / (_SQRT_2PI * per_mode_capacity_pdf(mu_ci, i, stats, snr_linear))
+    density = per_mode_capacity_pdf(mu_ci, i, stats, snr_linear)
+    if density <= 0:
+        raise DegenerateDistributionError(
+            f"capacity density of mode {i} vanishes at its mean")
+    return 1.0 / (_SQRT_2PI * density)
 
 
 def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import cache, fitting, gue, total
@@ -277,6 +278,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads anything starting like a negative number
+    (``-1e-05``, ``-2.5,5``) as a value, not an option.
+
+    argparse's own test accepts only ``-1`` and ``-1.5``, so an exponent or
+    a list made it report a missing argument.  No sdmcap option starts with
+    a digit.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="also write the report here")
@@ -289,7 +304,7 @@ def _add_spec_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdmcap",
         description="Capacity statistics of coupled SDM links with "
                     "mode-dependent gain",

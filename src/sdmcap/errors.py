@@ -25,7 +25,8 @@ class RootLocalizationError(SdmCapError):
 
 
 class DegenerateDistributionError(SdmCapError):
-    """A density was requested for a point-mass (zero-spread) distribution."""
+    """A density was requested for a point-mass (zero-spread) distribution,
+    or a density vanishes where a Gaussian match needs its curvature."""
 
 
 class CalibrationError(SdmCapError):

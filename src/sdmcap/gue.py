@@ -215,7 +215,7 @@ def per_mode_sigmas(spec: ChannelSpec, coeffs: GueCoefficients,
     for mu_i in per_mode_means_db:
         density = ensemble_pdf(mu_i, spec, coeffs, mu_lambda_db)
         if density <= 0:
-            raise ZeroDivisionError(
+            raise DegenerateDistributionError(
                 "ensemble density vanishes at a per-mode mean; not a valid maximum"
             )
         sigmas.append(1.0 / (D * _SQRT_2PI * density))

@@ -6,6 +6,15 @@ log-gain deviation hits the target sigma_mdg.  Every trial draws its
 randomness from a counter-based Philox stream keyed by (seed, stream kind,
 trial index, bin index), so results are independent of execution order.
 
+The trial kernel has two parts.  ``_haar_factors`` holds everything that
+does not depend on the per-section gain: the Philox draws, the batched QR
+with its R-diagonal phase fix, and the unit-variance log-gain draws.
+``_section_gains`` scales and centres the gains, chains the sections and
+takes the spectrum.  Calibration builds the gain-independent part of its
+sample once and reuses it at every secant step; the memo holds at most one
+chunk budget of complex entries, and chunks beyond it are rebuilt on each
+step through the same function.  Trial runs call the same two parts.
+
 Two power-control conventions are supported.  ``trial`` renormalizes every
 realization so the linear gains sum to exactly D; it keeps the per-trial
 trace fixed but couples the sorted gains through the shared normalizer,
@@ -92,44 +101,50 @@ def _rng(seed: int, stream: int, trial: int, bin_index: int = 0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def haar_unitary(D: int, rng) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase correction."""
+def _draw_trial_blocks(D: int, K: int, rng):
+    """Raw draws of one (trial, bin) stream: a complex Ginibre stack and
+    unit-variance per-section log gains, in that order."""
+    z = rng.standard_normal((K, D, D)) + 1j * rng.standard_normal((K, D, D))
+    return z, rng.standard_normal((K, D))
+
+
+def _haar_factors(D: int, K: int, rngs):
+    """The gain-independent part of a batch of streams.
+
+    Returns the Haar unitaries (B, K, D, D), from the QR of each Ginibre
+    block with the R-diagonal phase correction, and the unit log-gain draws
+    (B, K, D).  Neither depends on the per-section gain, so calibration
+    builds them once and reuses them at every secant step.
+    """
     if D < 2:
         raise ValueError("D must be >= 2")
-    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _draw_trial_blocks(D: int, K: int, g_db: float, rng):
-    """Per-trial raw draws: Ginibre stack and per-section log gains (dB).
-
-    Each section's log gains are centered so their trace is zero, keeping
-    the accumulated channel determinant pinned at unit magnitude instead of
-    letting the overall gain random-walk over the K sections.
-    """
-    z = rng.standard_normal((K, D, D)) + 1j * rng.standard_normal((K, D, D))
-    gains_db = rng.standard_normal((K, D)) * g_db
-    gains_db -= gains_db.mean(axis=-1, keepdims=True)
-    return z, gains_db
-
-
-def _channels_from_blocks(z, gains_db):
-    """Batched channel matrices from stacked section draws.
-
-    z: (B, K, D, D) complex Ginibre; gains_db: (B, K, D).  Returns (B, D, D).
-    """
-    B, K, D, _ = z.shape
+    z = np.empty((len(rngs), K, D, D), dtype=complex)
+    unit = np.empty((len(rngs), K, D))
+    for b, rng in enumerate(rngs):
+        z[b], unit[b] = _draw_trial_blocks(D, K, rng)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q, unit
+
+
+def _section_gains(factors, g_db: float, power_control=POWER_CONTROL_ENSEMBLE):
+    """The gain-dependent part: sorted linear power gains of each channel.
+
+    Scales the unit draws to ``g_db`` and centres each section's log gains
+    so their trace is zero, keeping the accumulated channel determinant
+    pinned at unit magnitude instead of letting the overall gain random-walk
+    over the K sections.  Then chains the K sections and takes the spectrum.
+    """
+    q, unit = factors
+    B, K, D, _ = q.shape
+    gains_db = unit * g_db
+    gains_db -= gains_db.mean(axis=-1, keepdims=True)
     amp = 10.0 ** (gains_db / 20.0)  # field amplitude for a power gain in dB
     h = np.broadcast_to(np.eye(D, dtype=complex), (B, D, D)).copy()
     for k in range(K):
         h = (q[:, k] * amp[:, k, None, :]) @ h
-    return h
+    return _gains_from_channels(h, D, power_control)
 
 
 def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
@@ -153,10 +168,8 @@ def run_trial(spec: ChannelSpec, K: int, g_db: float, rng,
     because a single realization has no ensemble to normalize against;
     ``ensemble`` returns the raw traceless-log spectrum instead.
     """
-    z, gains_db = _draw_trial_blocks(spec.mode_count, K, g_db, rng)
     try:
-        h = _channels_from_blocks(z[None], gains_db[None])
-        lam = _gains_from_channels(h, spec.mode_count, power_control)[0]
+        lam = _batch_gains(spec, K, g_db, [rng], power_control)[0]
     except np.linalg.LinAlgError as exc:
         raise TrialError(f"eigendecomposition failed: {exc}") from exc
     gains = 10.0 * np.log10(lam)
@@ -166,14 +179,9 @@ def run_trial(spec: ChannelSpec, K: int, g_db: float, rng,
 
 def _batch_gains(spec: ChannelSpec, K: int, g_db: float, rngs,
                  power_control=POWER_CONTROL_ENSEMBLE):
-    """Stack draws for many (trial, bin) streams and evaluate them batched."""
-    D = spec.mode_count
-    z = np.empty((len(rngs), K, D, D), dtype=complex)
-    gdb = np.empty((len(rngs), K, D))
-    for b, rng in enumerate(rngs):
-        z[b], gdb[b] = _draw_trial_blocks(D, K, g_db, rng)
-    h = _channels_from_blocks(z, gdb)
-    return _gains_from_channels(h, D, power_control)
+    """Draw and evaluate many (trial, bin) streams batched."""
+    return _section_gains(_haar_factors(spec.mode_count, K, rngs), g_db,
+                          power_control)
 
 
 def _chunked(n, size):
@@ -181,26 +189,41 @@ def _chunked(n, size):
         yield start, min(start + size, n)
 
 
+_CHUNK_BUDGET = 4_000_000  # complex entries held at once
+
+
 def _chunk_size(D: int, K: int, bins: int) -> int:
-    budget = 4_000_000  # complex entries held at once
-    return max(1, budget // max(1, K * D * D * bins))
+    return max(1, _CHUNK_BUDGET // max(1, K * D * D * bins))
 
 
 def measure_ensemble_std(spec: ChannelSpec, K: int, g_db: float, seed: int,
                          trials: int, stream: int = _STREAM_CALIBRATION,
-                         power_control: str = POWER_CONTROL_ENSEMBLE) -> float:
+                         power_control: str = POWER_CONTROL_ENSEMBLE,
+                         memo: dict | None = None) -> float:
     """Std (dB) of the pooled lambda_dB ensemble over ``trials`` realizations
     drawn from fixed streams, so repeated calls with the same seed see the
     same underlying randomness.  The requested power control is applied
     before measuring (the deterministic ensemble-level gain has no effect
-    on the std, so the ensemble mode measures the raw spectrum)."""
+    on the std, so the ensemble mode measures the raw spectrum).
+
+    ``memo`` is a dict the caller keeps across calls with the same spec, K,
+    seed, trials and stream.  It keeps the gain-independent factors of the
+    leading chunks, at most one chunk budget of complex entries in all;
+    chunks beyond it are redrawn on every call."""
     if g_db == 0.0:
         return 0.0
+    D = spec.mode_count
+    held = 0 if memo is None else sum(q.size for q, _ in memo.values())
     all_gains = []
-    chunk = _chunk_size(spec.mode_count, K, 1)
-    for lo, hi in _chunked(trials, chunk):
-        rngs = [_rng(seed, stream, t) for t in range(lo, hi)]
-        lam = _batch_gains(spec, K, g_db, rngs, power_control)
+    for lo, hi in _chunked(trials, _chunk_size(D, K, 1)):
+        factors = None if memo is None else memo.get(lo)
+        if factors is None:
+            rngs = [_rng(seed, stream, t) for t in range(lo, hi)]
+            factors = _haar_factors(D, K, rngs)
+            if memo is not None and held + factors[0].size <= _CHUNK_BUDGET:
+                memo[lo] = factors
+                held += factors[0].size
+        lam = _section_gains(factors, g_db, power_control)
         all_gains.append(10.0 * np.log10(lam))
     pooled = np.concatenate(all_gains).ravel()
     return float(pooled.std(ddof=1))
@@ -213,14 +236,18 @@ def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int
 
     Secant iteration on the measured ensemble std with common random numbers
     across iterations, so the objective is a deterministic smooth function
-    of the per-section gain."""
+    of the per-section gain.  The Haar factors and unit gain draws of the
+    calibration sample are built once, within the chunk budget, and reused
+    by every evaluation."""
     target = spec.sigma_mdg_db
     if target == 0.0:
         return 0.0
 
+    memo = {}  # gain-independent factors, shared by every secant step
+
     def objective(g):
         return measure_ensemble_std(spec, K, g, seed, trials_cal,
-                                    power_control=power_control) - target
+                                    power_control=power_control, memo=memo) - target
 
     g0 = target / math.sqrt(K)
     g1 = 1.3 * g0

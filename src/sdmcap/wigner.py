@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelSpec
+from .errors import DegenerateDistributionError
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -133,6 +134,7 @@ def per_mode_sigmas_from_pdf(spec: ChannelSpec, mu_lambda_db: float, means):
     for mu_c in means:
         density = capacity_pdf(mu_c, spec, mu_lambda_db)
         if density <= 0:
-            raise ZeroDivisionError("capacity density vanished at a quantile point")
+            raise DegenerateDistributionError(
+                "capacity density vanished at a quantile point")
         sigmas.append(1.0 / (D * _SQRT_2PI * density))
     return sigmas

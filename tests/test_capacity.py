@@ -4,7 +4,7 @@ import pytest
 
 from sdmcap import capacity
 from sdmcap.channel import ChannelSpec
-from sdmcap.errors import UnsupportedOrderError
+from sdmcap.errors import DegenerateDistributionError, UnsupportedOrderError
 from tests.test_gue import (
     GAIN_MEANS_D6_S5,
     GAIN_SIGMAS_D6_S5,
@@ -56,6 +56,13 @@ class TestPerModeStats:
             f0 = capacity.per_mode_capacity_pdf(mu_c, i, st, snr)
             assert f0 > capacity.per_mode_capacity_pdf(mu_c - 0.01, i, st, snr)
             assert f0 > capacity.per_mode_capacity_pdf(mu_c + 0.01, i, st, snr)
+
+    def test_vanishing_capacity_density_is_a_typed_error(self, case_study,
+                                                         monkeypatch):
+        monkeypatch.setattr(capacity, "per_mode_capacity_pdf", lambda *args: 0.0)
+        with pytest.raises(DegenerateDistributionError):
+            capacity.per_mode_capacity_sigma(1, case_study, 10.0,
+                                             case_study.cap_means[0])
 
     def test_auto_dispatch_boundary(self):
         assert capacity.per_mode_stats(

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap import cache
-from sdmcap.cli import main
+from sdmcap import cache, wigner
+from sdmcap.cli import build_parser, main
 from sdmcap.total import CorrelationModel
 
 
@@ -98,6 +98,37 @@ class TestAnalytic:
         assert any(line.startswith("total_mean_bits_per_s_per_hz,")
                    for line in out.splitlines())
 
+
+    def test_vanishing_density_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(wigner, "capacity_pdf", lambda *args: 0.0)
+        code, _ = run_cli(capsys, "analytic", "--modes", "12", "--snr-db", "10",
+                          "--sigma-mdg-db", "5", "--gamma", "0.3,0")
+        assert code == 2
+
+
+class TestNegativeNumbers:
+    def test_exponent_is_a_value_not_an_option(self):
+        args = build_parser().parse_args(
+            ["analytic", "--modes", "4", "--snr-db", "-1e-05", "--sigma-mdg-db", "5"])
+        assert args.snr_db == -1e-05
+
+    @pytest.mark.parametrize("snr, grid", [
+        ("-2.5E+1", "2.5e0,5E+0,7.5"),
+        ("-.5", "-1e-3,5"),
+        ("-3", "-1:5:2"),
+    ])
+    def test_fit_and_sweep_values(self, snr, grid):
+        for command in ("fit", "sweep"):
+            args = build_parser().parse_args(
+                [command, "--modes", "4", "--snr-db", snr, "--sigma-grid", grid])
+            assert args.snr_db == float(snr)
+            assert args.sigma_grid == grid
+
+    def test_report_at_negative_exponent_snr(self, capsys):
+        code, out = run_cli(capsys, "analytic", "--modes", "4", "--snr-db", "-1e-05",
+                            "--sigma-mdg-db", "5", "--gamma", "0.5,0")
+        assert code == 0
+        assert json.loads(out)["snr_db"] == -1e-05
 
 def _numbers(value):
     if isinstance(value, dict):

@@ -128,6 +128,13 @@ class TestPerModeStatistics:
         assert means == pytest.approx(GAIN_MEANS_D6_S5, abs=1e-8)
         assert sigmas == pytest.approx(GAIN_SIGMAS_D6_S5, abs=1e-8)
 
+    def test_vanishing_density_is_a_typed_error(self, monkeypatch):
+        spec = ChannelSpec(6, 10.0, 5.0)
+        coeffs = gue.derive_coefficients(6)
+        monkeypatch.setattr(gue, "ensemble_pdf", lambda *args: 0.0)
+        with pytest.raises(DegenerateDistributionError):
+            gue.per_mode_sigmas(spec, coeffs, MU_LAMBDA_D6_S5, GAIN_MEANS_D6_S5)
+
     def test_means_are_ordered_and_symmetric(self):
         for D in (2, 3, 5, 8):
             spec = ChannelSpec(D, 10.0, 3.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,7 +14,6 @@ from sdmcap.mc import (
     POWER_CONTROL_TRIAL,
     calibrate_section_gain,
     empirical_correlation,
-    haar_unitary,
     result_to_csv_rows,
     result_to_json,
     run_ensemble,
@@ -50,16 +50,14 @@ class TestHaarUnitary:
     def test_unitarity_and_det(self):
         rng = np.random.default_rng(5)
         for D in (2, 4, 7):
-            u = haar_unitary(D, rng)
-            assert np.abs(u @ u.conj().T - np.eye(D)).max() < 1e-12
-            assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
+            q, _ = mc._haar_factors(D, 3, [rng])
+            for u in q[0]:
+                assert np.abs(u @ u.conj().T - np.eye(D)).max() < 1e-12
+                assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
     def test_eigenvalue_angles_uniform(self):
-        rng = np.random.default_rng(6)
-        angles = np.concatenate([
-            np.angle(np.linalg.eigvals(haar_unitary(4, rng)))
-            for _ in range(10_000 // 4)
-        ])
+        q, _ = mc._haar_factors(4, 10_000 // 4, [np.random.default_rng(6)])
+        angles = np.angle(np.linalg.eigvals(q[0])).ravel()
         s = np.sort((angles + math.pi) / (2.0 * math.pi))
         n = len(s)
         ks = max(
@@ -70,7 +68,7 @@ class TestHaarUnitary:
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
-            haar_unitary(1, np.random.default_rng(0))
+            mc._haar_factors(1, 1, [np.random.default_rng(0)])
 
 
 class TestCalibration:
@@ -88,6 +86,115 @@ class TestCalibration:
             for t in (2.0, 4.0, 6.0)
         ]
         assert gains[0] < gains[1] < gains[2]
+
+
+def _sha256(result):
+    return hashlib.sha256(result_to_json(result).encode()).hexdigest()
+
+
+class TestBitExactness:
+    """Values frozen from the kernel that redrew and refactorised the Haar
+    sample at every secant step; reusing it must not move a bit.  The
+    digests belong to one numpy/LAPACK build: another build may round the
+    QR or eigenvalues differently and needs them recorded afresh."""
+
+    def test_d20_k5(self):
+        res = run_ensemble(McConfig(ChannelSpec(20, 10.0, 5.0), sections=5,
+                                    trials=200, seed=1))
+        assert res.section_gain_db.hex() == "0x1.1e3779b97f4a8p+1"
+        assert _sha256(res) == (
+            "5213dbaaf892dbcec501e91148b10f8255a78582621f64ef665576e29431d0d0")
+
+    def test_d6_k100_trial_power_control(self):
+        res = run_ensemble(McConfig(SPEC_D6, sections=100, trials=200, seed=3,
+                                    power_control=POWER_CONTROL_TRIAL))
+        assert res.section_gain_db.hex() == "0x1.0921b0f6f4e1ap-1"
+        assert _sha256(res) == (
+            "ab772db3a4bb11687cdd5b9cc375b219cbe89f4d56450ffef393a6ab25d805a4")
+
+    def test_memo_budget_exceeded(self, monkeypatch):
+        # 7-trial chunks and a memo of three of them: the other 55 chunks of
+        # the 400-trial calibration sample are rebuilt at every secant step
+        D, K = 4, 100
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 7)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 3 * 7 * K * D * D)
+        memos = []
+        original = mc.measure_ensemble_std
+
+        def spy(*args, **kwargs):
+            memos.append(kwargs["memo"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", spy)
+        res = run_ensemble(McConfig(ChannelSpec(D, 10.0, 5.0), sections=K,
+                                    trials=150, seed=5))
+        assert len(memos) >= 2 and len(memos[-1]) == 3
+        assert res.section_gain_db.hex() == "0x1.1b22093cb434cp-1"
+        assert _sha256(res) == (
+            "1e4893ae394a50301221ff6c07efbfaceb6acbf78f18cc1fce0a294a061a03f1")
+
+    @pytest.mark.parametrize("budget_chunks", [None, 2, 0])
+    def test_memoised_objective_matches_fresh_draws(self, monkeypatch, budget_chunks):
+        D, K = 6, 20
+        if budget_chunks is not None:
+            monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 10)
+            monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * 10 * K * D * D)
+        memo = {}
+        for g in (0.2, 0.45, 0.9):
+            memoised = mc.measure_ensemble_std(SPEC_D6, K, g, seed=4, trials=45,
+                                               memo=memo)
+            assert memoised == mc.measure_ensemble_std(SPEC_D6, K, g, seed=4,
+                                                       trials=45)
+        assert len(memo) == (1 if budget_chunks is None else budget_chunks)
+
+
+class TestCalibrationMemo:
+    @pytest.mark.parametrize("budget_chunks", [None, 2])
+    def test_each_memoised_chunk_is_factored_once(self, monkeypatch, budget_chunks):
+        D, K, trials, chunk = 6, 20, 40, 10
+        if budget_chunks is not None:
+            monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: chunk)
+            monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * chunk * K * D * D)
+        evals = []
+        original_measure = mc.measure_ensemble_std
+
+        def counted_measure(*args, **kwargs):
+            evals.append(args[2])
+            return original_measure(*args, **kwargs)
+
+        factored = []
+        original_qr = np.linalg.qr
+
+        def counted_qr(a, *args, **kwargs):
+            factored.append(a.shape[0])
+            return original_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        calibrate_section_gain(SPEC_D6, K, trials, seed=1)
+        n = len(evals)
+        assert n >= 2
+        if budget_chunks is None:
+            assert factored == [trials]  # one chunk, memoised, factored once
+        else:
+            recomputed = trials // chunk - budget_chunks
+            assert factored == [chunk] * (budget_chunks + recomputed) \
+                + [chunk] * recomputed * (n - 1)
+
+    def test_memo_holds_at_most_one_chunk_budget(self):
+        # D = 40, K = 100: 25 trials fill the budget; the 26th is rebuilt
+        memo = {}
+        spec = ChannelSpec(40, 10.0, 5.0)
+        mc.measure_ensemble_std(spec, 100, 0.5, seed=0, trials=26, memo=memo)
+        held = sum(q.size for q, _ in memo.values())
+        assert list(memo) == [0]
+        assert held == 25 * 100 * 40 * 40 <= mc._CHUNK_BUDGET
+
+    def test_chunk_above_budget_is_not_held(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
+        memo = {}
+        mc.measure_ensemble_std(SPEC_D6, 20, 0.5, seed=0, trials=3, memo=memo)
+        assert memo == {}
 
 
 class TestRunTrial:

@@ -6,6 +6,7 @@ import pytest
 from sdmcap import wigner
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
+from sdmcap.errors import DegenerateDistributionError
 from sdmcap.mc import McConfig, run_ensemble
 from sdmcap.numerics import integrate
 
@@ -85,6 +86,14 @@ class TestPerModeQuantiles:
         # stretches the top edge hardest)
         assert sigmas[0] > sigmas[1]
         assert sigmas[-1] == max(sigmas)
+
+
+    def test_vanishing_density_is_a_typed_error(self, monkeypatch):
+        spec = ChannelSpec(12, 10.0, 5.0)
+        means = wigner.per_mode_means_from_cdf(spec, -2.5)
+        monkeypatch.setattr(wigner, "capacity_pdf", lambda *args: 0.0)
+        with pytest.raises(DegenerateDistributionError):
+            wigner.per_mode_sigmas_from_pdf(spec, -2.5, means)
 
 
 @pytest.fixture(scope="module")
