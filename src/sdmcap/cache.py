@@ -5,18 +5,30 @@ The cache directory defaults to ``~/.cache/sdmcap`` and is overridden by
 the ``SDMCAP_CACHE_DIR`` environment variable.  A default correlation
 table with the D=6 / SNR=10 dB pair ships with the package; locally fitted
 records are merged over it, with local records winning.
+
+Both files are rewritten whole: a writer takes an exclusive lock on a
+sibling ``.lock`` file (where ``fcntl`` exists), reads the records, merges
+its own and renames a uniquely named temporary file over the old one, so
+concurrent writers neither lose records nor expose a half-written file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .gue import GueCoefficients, derive_coefficients
 from .total import CorrelationModel
+
+try:
+    import fcntl
+except ImportError:  # no advisory file locks on this platform
+    fcntl = None
 
 CACHE_DIR_ENV = "SDMCAP_CACHE_DIR"
 COEFFICIENTS_FILE = "coefficients.json"
@@ -60,24 +72,50 @@ def load_cached_coefficients() -> dict:
     return out
 
 
-def store_coefficients(coeffs: GueCoefficients) -> Path:
-    """Write (merge) one coefficient record into the cache file."""
-    path = _coefficients_path()
+@contextmanager
+def _locked(path: Path):
+    """Hold an exclusive lock on ``path``'s sibling lock file, if the
+    platform has ``fcntl``; released when the file closes."""
+    if fcntl is None:
+        yield
+        return
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        yield
+
+
+def _update_json(path: Path, empty, update) -> Path:
+    """Read-modify-write one JSON cache file under its lock: ``update``
+    takes the current records (``empty`` if the file is missing or corrupt)
+    and returns the text to write, which replaces the file atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = {}
-    if path.exists():
+    with _locked(path):
         try:
             records = json.loads(path.read_text())
         except (json.JSONDecodeError, OSError):
-            records = {}
-    records[str(coeffs.D)] = {
-        "alpha": repr(coeffs.alpha),
-        "beta": [f"{b.numerator}/{b.denominator}" for b in coeffs.beta],
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+            records = empty
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(update(records))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return path
+
+
+def store_coefficients(coeffs: GueCoefficients) -> Path:
+    """Write (merge) one coefficient record into the cache file."""
+    def update(records):
+        records[str(coeffs.D)] = {
+            "alpha": repr(coeffs.alpha),
+            "beta": [f"{b.numerator}/{b.denominator}" for b in coeffs.beta],
+        }
+        return json.dumps(records, sort_keys=True, indent=2) + "\n"
+
+    return _update_json(_coefficients_path(), {}, update)
 
 
 def cached_coefficients(D: int) -> GueCoefficients:
@@ -117,22 +155,14 @@ def load_gamma_table() -> list:
 
 def store_gamma(model: CorrelationModel) -> Path:
     """Write (merge) one fitted record into the local correlation table."""
-    path = _gamma_table_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = []
-    if path.exists():
-        try:
-            records = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            records = []
-    records = [r for r in records if not _same_pair(r, model.D, model.snr_db)]
-    records.append({"D": model.D, "snr_db": model.snr_db,
-                    "gamma0": model.gamma0, "gamma1": model.gamma1})
-    records.sort(key=lambda r: (r["D"], r["snr_db"]))
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(records, indent=2) + "\n")
-    os.replace(tmp, path)
-    return path
+    def update(records):
+        records = [r for r in records if not _same_pair(r, model.D, model.snr_db)]
+        records.append({"D": model.D, "snr_db": model.snr_db,
+                        "gamma0": model.gamma0, "gamma1": model.gamma1})
+        records.sort(key=lambda r: (r["D"], r["snr_db"]))
+        return json.dumps(records, indent=2) + "\n"
+
+    return _update_json(_gamma_table_path(), [], update)
 
 
 def lookup_gamma(D: int, snr_db: float) -> CorrelationModel | None:

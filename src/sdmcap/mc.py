@@ -15,6 +15,14 @@ sample once and reuses it at every secant step; the memo holds at most one
 chunk budget of complex entries, and chunks beyond it are rebuilt on each
 step through the same function.  Trial runs call the same two parts.
 
+Each chunk is cut into one contiguous trial range per CPU in the process's
+affinity mask; the caller runs the first range and a thread pool the
+others (numpy's draws, QR, matmul and eigen-solver release the interpreter
+lock).  The pieces return in trial order and every trial keeps its own
+stream, so results are bit-identical for any worker count; with one CPU,
+or a one-trial chunk, the chunk runs inline and no thread is started.
+BLAS thread settings are left as the user set them.
+
 Two power-control conventions are supported.  ``trial`` renormalizes every
 realization so the linear gains sum to exactly D; it keeps the per-trial
 trace fixed but couples the sorted gains through the shared normalizer,
@@ -31,6 +39,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +206,58 @@ def _chunk_size(D: int, K: int, bins: int) -> int:
     return max(1, _CHUNK_BUDGET // max(1, K * D * D * bins))
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# The threads that run all pieces but the first, which the caller runs:
+# (pid, executor), made on the first map with more than one piece and kept
+# for the life of the process.  Threads made afresh for every map spread
+# freed arrays over new malloc arenas (the peak RSS of ten D = 20 fits grew
+# from 89 to 152 MiB), and every thread beyond the caller holds an arena of
+# its own.  A child made by fork() inherits the executor without its
+# threads, hence the pid.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(
+                max_workers=max(1, _worker_count() - 1), thread_name_prefix="sdmcap-mc"))
+        return _pool[1]
+
+
+def _map_pieces(fn, lo: int, hi: int) -> list:
+    """``fn(a, b)`` for each of the contiguous ranges, one per worker, that
+    cut the trial range [lo, hi), returned in trial order.
+
+    The caller runs the first piece and the pool the others; a single piece
+    runs inline and starts no thread.  ``fn`` must not call back into this
+    function."""
+    n = min(_worker_count(), hi - lo)
+    if n <= 1:
+        return [fn(lo, hi)]
+    from concurrent.futures import wait
+
+    bounds = [lo + (hi - lo) * i // n for i in range(n + 1)]
+    pool = _executor()
+    others = [pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = fn(lo, bounds[1])
+    finally:
+        wait(others)  # no piece outlives the call
+    return [first, *(f.result() for f in others)]
+
+
 def measure_ensemble_std(spec: ChannelSpec, K: int, g_db: float, seed: int,
                          trials: int, stream: int = _STREAM_CALIBRATION,
                          power_control: str = POWER_CONTROL_ENSEMBLE,
@@ -204,27 +266,37 @@ def measure_ensemble_std(spec: ChannelSpec, K: int, g_db: float, seed: int,
     drawn from fixed streams, so repeated calls with the same seed see the
     same underlying randomness.  The requested power control is applied
     before measuring (the deterministic ensemble-level gain has no effect
-    on the std, so the ensemble mode measures the raw spectrum).
+    on the std, so the ensemble mode measures the raw spectrum).  A
+    non-positive eigenvalue makes the result NaN.
 
     ``memo`` is a dict the caller keeps across calls with the same spec, K,
     seed, trials and stream.  It keeps the gain-independent factors of the
-    leading chunks, at most one chunk budget of complex entries in all;
-    chunks beyond it are redrawn on every call."""
+    leading chunks, keyed by trial range, at most one chunk budget of
+    complex entries in all; chunks beyond it are redrawn on every call."""
     if g_db == 0.0:
         return 0.0
     D = spec.mode_count
     held = 0 if memo is None else sum(q.size for q, _ in memo.values())
+
+    def piece(lo, hi):
+        factors = None if memo is None else memo.get((lo, hi))
+        fresh = factors is None
+        if fresh:
+            factors = _haar_factors(D, K, [_rng(seed, stream, t) for t in range(lo, hi)])
+        lam = _section_gains(factors, g_db, power_control)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (lo, hi), factors if fresh else None, 10.0 * np.log10(lam)
+
     all_gains = []
     for lo, hi in _chunked(trials, _chunk_size(D, K, 1)):
-        factors = None if memo is None else memo.get(lo)
-        if factors is None:
-            rngs = [_rng(seed, stream, t) for t in range(lo, hi)]
-            factors = _haar_factors(D, K, rngs)
-            if memo is not None and held + factors[0].size <= _CHUNK_BUDGET:
-                memo[lo] = factors
-                held += factors[0].size
-        lam = _section_gains(factors, g_db, power_control)
-        all_gains.append(10.0 * np.log10(lam))
+        # whether this chunk is held is settled here, before its pieces run
+        size = (hi - lo) * K * D * D
+        keep = memo is not None and held + size <= _CHUNK_BUDGET
+        for key, fresh, gains_db in _map_pieces(piece, lo, hi):
+            if keep and fresh is not None:
+                memo[key] = fresh
+                held += fresh[0].size
+            all_gains.append(gains_db)
     pooled = np.concatenate(all_gains).ravel()
     return float(pooled.std(ddof=1))
 
@@ -238,20 +310,34 @@ def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int
     across iterations, so the objective is a deterministic smooth function
     of the per-section gain.  The Haar factors and unit gain draws of the
     calibration sample are built once, within the chunk budget, and reused
-    by every evaluation."""
+    by every evaluation.
+
+    A gain so large that the spectrum loses positivity measures NaN; such a
+    step is halved back towards the last gain with a finite measurement
+    (g = 0, which measures exactly 0, before the first), and the secant
+    continues from there."""
     target = spec.sigma_mdg_db
     if target == 0.0:
         return 0.0
 
     memo = {}  # gain-independent factors, shared by every secant step
+    evals = 0
 
-    def objective(g):
-        return measure_ensemble_std(spec, K, g, seed, trials_cal,
-                                    power_control=power_control, memo=memo) - target
+    def objective(g, g_finite):
+        nonlocal evals
+        for _ in range(max_iter):
+            evals += 1
+            f = measure_ensemble_std(spec, K, g, seed, trials_cal,
+                                     power_control=power_control, memo=memo) - target
+            if math.isfinite(f):
+                return g, f
+            g = 0.5 * (g_finite + g)
+        raise CalibrationError(
+            f"per-section gain calibration found no finite ensemble std "
+            f"above {g_finite} dB in {evals} evaluations")
 
-    g0 = target / math.sqrt(K)
-    g1 = 1.3 * g0
-    f0, f1 = objective(g0), objective(g1)
+    g0, f0 = objective(target / math.sqrt(K), 0.0)
+    g1, f1 = objective(1.3 * g0, g0)
     if abs(f0) <= tol * target:
         return g0
     for _ in range(max_iter):
@@ -262,10 +348,10 @@ def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int
             break
         g2 = max(1e-12, g1 - f1 * (g1 - g0) / denom)
         g0, f0 = g1, f1
-        g1, f1 = g2, objective(g2)
+        g1, f1 = objective(g2, g1)
     raise CalibrationError(
         f"per-section gain calibration did not reach {tol:.3%} of "
-        f"{target} dB in {max_iter} secant steps"
+        f"{target} dB in {evals} evaluations"
     )
 
 
@@ -283,7 +369,15 @@ def empirical_correlation(cap_samples) -> np.ndarray:
 
 
 def _histogram(values, bins):
-    counts, edges = np.histogram(values, bins=bins)
+    try:
+        counts, edges = np.histogram(values, bins=bins)
+    except ValueError:
+        # the values span fewer floats than ``bins`` needs for distinct
+        # edges (a tiny sigma_mdg): widen the range about its centre
+        lo, hi = float(np.min(values)), float(np.max(values))
+        half = max(0.5 * (hi - lo), bins * float(np.spacing(max(abs(lo), abs(hi)))))
+        mid = 0.5 * (lo + hi)
+        counts, edges = np.histogram(values, bins=bins, range=(mid - half, mid + half))
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
@@ -309,24 +403,31 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
     lam_all = np.ones((config.trials, N, D))
     discarded = []
 
+    def piece(lo, hi):
+        """Gains of trials [lo, hi) and the trials to discard: a (trial, bin)
+        whose eigendecomposition fails or whose spectrum is not positive and
+        finite."""
+        keys = [(t, b) for t in range(lo, hi) for b in range(N)]
+        try:
+            lam = _batch_gains(spec, K, g_db, [_rng(config.seed, _STREAM_TRIAL, t, b)
+                                                for t, b in keys], pc)
+        except np.linalg.LinAlgError:
+            # isolate failing draws one by one, each from a fresh stream
+            lam = np.full((len(keys), D), np.nan)
+            for row, (t, b) in enumerate(keys):
+                try:
+                    lam[row] = _batch_gains(spec, K, g_db,
+                                            [_rng(config.seed, _STREAM_TRIAL, t, b)], pc)[0]
+                except np.linalg.LinAlgError:
+                    pass
+        bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
+        return lam, [keys[row][0] for row in np.flatnonzero(bad)]
+
     if g_db != 0.0:
-        chunk = _chunk_size(D, K, N)
-        for lo, hi in _chunked(config.trials, chunk):
-            rngs = [
-                _rng(config.seed, _STREAM_TRIAL, t, b)
-                for t in range(lo, hi) for b in range(N)
-            ]
-            try:
-                lam = _batch_gains(spec, K, g_db, rngs, pc)
-            except np.linalg.LinAlgError:
-                # isolate failing (trial, bin) draws one by one
-                lam = np.ones((len(rngs), D))
-                for row, rng in enumerate(rngs):
-                    try:
-                        lam[row] = _batch_gains(spec, K, g_db, [rng], pc)[0]
-                    except np.linalg.LinAlgError:
-                        discarded.append(lo + row // N)
-            lam_all[lo:hi] = lam.reshape(hi - lo, N, D)
+        for lo, hi in _chunked(config.trials, _chunk_size(D, K, N)):
+            results = _map_pieces(piece, lo, hi)
+            lam_all[lo:hi] = np.concatenate([lam for lam, _ in results]).reshape(hi - lo, N, D)
+            discarded.extend(t for _, bad in results for t in bad)
 
     if discarded:
         discarded = sorted(set(discarded))

@@ -53,11 +53,15 @@ def correlation(i: int, j: int, sigma_mdg_db: float,
     return decay + (decay - 1.0) * g
 
 
+def _lag_correlations(D: int, sigma_mdg_db: float, model: CorrelationModel):
+    """``correlation`` at each lag |i - j| = 0 .. D - 1, on which alone it
+    depends."""
+    return [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
+
+
 def correlation_matrix(D: int, sigma_mdg_db: float, model: CorrelationModel):
-    return [
-        [correlation(i, j, sigma_mdg_db, model) for j in range(1, D + 1)]
-        for i in range(1, D + 1)
-    ]
+    rho = _lag_correlations(D, sigma_mdg_db, model)
+    return [[rho[abs(i - j)] for j in range(D)] for i in range(D)]
 
 
 def total_stats(stats: PerModeStats, model: CorrelationModel,
@@ -68,11 +72,12 @@ def total_stats(stats: PerModeStats, model: CorrelationModel,
     correlation model is being used outside its fitted envelope and raises."""
     D = stats.D
     mu_ct = sum(stats.cap_means)
+    rho = _lag_correlations(D, sigma_mdg_db, model)
     var = 0.0
-    for i in range(1, D + 1):
-        si = stats.cap_sigmas[i - 1]
-        for j in range(1, D + 1):
-            var += si * stats.cap_sigmas[j - 1] * correlation(i, j, sigma_mdg_db, model)
+    for i in range(D):
+        si = stats.cap_sigmas[i]
+        for j in range(D):
+            var += si * stats.cap_sigmas[j] * rho[abs(i - j)]
     if any(s > 0 for s in stats.cap_sigmas) and var <= 0:
         raise CorrelationRangeError(
             f"computed total variance {var} is not positive; the correlation "

@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import sdmcap
 from sdmcap import cache
 from sdmcap.gue import derive_coefficients
 from sdmcap.total import CorrelationModel
@@ -80,3 +84,44 @@ class TestGammaTable:
         matches = [r for r in records if r["D"] == 4]
         assert len(matches) == 1
         assert matches[0]["gamma0"] == 0.2
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from sdmcap import cache
+from sdmcap.total import CorrelationModel
+D, gate = int(sys.argv[1]), Path(sys.argv[2])
+(gate.parent / f"ready-{D}").touch()
+while not gate.exists():
+    time.sleep(0.001)
+for k in range(10):
+    cache.store_gamma(CorrelationModel(0.01 * D, 0.0, D=D, snr_db=float(k)))
+"""
+
+
+class TestConcurrentWriters:
+    def test_no_record_is_lost(self, tmp_path):
+        # 8 processes, released together, each store 10 distinct records
+        src = str(Path(sdmcap.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        gate = tmp_path / "gate"
+        modes = range(2, 10)
+        procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(D), str(gate)],
+                                  env=env) for D in modes]
+        try:
+            deadline = time.monotonic() + 60
+            while (len(list(tmp_path.glob("ready-*"))) < len(procs)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            gate.touch()
+            codes = [p.wait(timeout=60) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert codes == [0] * len(procs)
+        for D in modes:
+            for k in range(10):
+                assert cache.lookup_gamma(D, float(k)).gamma0 == 0.01 * D
+        assert not list(cache.cache_dir().glob("*.tmp"))

@@ -1,13 +1,22 @@
 import hashlib
+import itertools
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmcap import mc
 from sdmcap.channel import ChannelSpec
-from sdmcap.errors import EnsembleError, SdmCapError
+from sdmcap.errors import CalibrationError, EnsembleError, SdmCapError
 from sdmcap.mc import (
     McConfig,
     POWER_CONTROL_ENSEMBLE,
@@ -80,6 +89,29 @@ class TestCalibration:
         std = mc.measure_ensemble_std(SPEC_D6, 100, g, seed=1, trials=400)
         assert 4.95 <= std <= 5.05
 
+    def test_steps_back_from_a_nan_measurement(self, monkeypatch):
+        # the objective crosses 20 dB between g = 1.6 (18.8 dB) and 1.8
+        # (22.4 dB); the second secant point, g = 2.6, loses positivity of
+        # the spectrum and measures NaN
+        spec = ChannelSpec(4, 10.0, 20.0)
+        measured = []
+        original = mc.measure_ensemble_std
+
+        def spy(*args, **kwargs):
+            measured.append(original(*args, **kwargs))
+            return measured[-1]
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", spy)
+        g = calibrate_section_gain(spec, 100, 400, seed=1)
+        assert any(math.isnan(v) for v in measured)
+        assert abs(measured[-1] - 20.0) <= 0.01 * 20.0
+        assert measured[-1] == original(spec, 100, g, seed=1, trials=400)
+
+    def test_failure_reports_the_evaluations_made(self):
+        # two starting points, then two secant steps
+        with pytest.raises(CalibrationError, match=r"in 4 evaluations"):
+            calibrate_section_gain(SPEC_D6, 20, 40, seed=1, tol=1e-12, max_iter=2)
+
     def test_monotone_in_target(self):
         gains = [
             calibrate_section_gain(ChannelSpec(6, 10.0, t), 100, 200, seed=1)
@@ -90,6 +122,11 @@ class TestCalibration:
 
 def _sha256(result):
     return hashlib.sha256(result_to_json(result).encode()).hexdigest()
+
+
+def _held_trials(memo):
+    """Calibration trials whose Haar factors a memo holds, in order."""
+    return sorted(t for lo, hi in memo for t in range(lo, hi))
 
 
 class TestBitExactness:
@@ -128,7 +165,7 @@ class TestBitExactness:
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
         res = run_ensemble(McConfig(ChannelSpec(D, 10.0, 5.0), sections=K,
                                     trials=150, seed=5))
-        assert len(memos) >= 2 and len(memos[-1]) == 3
+        assert len(memos) >= 2 and _held_trials(memos[-1]) == list(range(3 * 7))
         assert res.section_gain_db.hex() == "0x1.1b22093cb434cp-1"
         assert _sha256(res) == (
             "1e4893ae394a50301221ff6c07efbfaceb6acbf78f18cc1fce0a294a061a03f1")
@@ -145,7 +182,86 @@ class TestBitExactness:
                                                memo=memo)
             assert memoised == mc.measure_ensemble_std(SPEC_D6, K, g, seed=4,
                                                        trials=45)
-        assert len(memo) == (1 if budget_chunks is None else budget_chunks)
+        held = 45 if budget_chunks is None else budget_chunks * 10
+        assert _held_trials(memo) == list(range(held))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_digests_hold_for_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        self.test_d20_k5()
+        self.test_d6_k100_trial_power_control()
+        self.test_memo_budget_exceeded(monkeypatch)
+
+
+class TestMapPieces:
+    def test_pieces_cover_the_range_in_order(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 3)
+        assert mc._map_pieces(lambda a, b: (a, b), 3, 10) == [(3, 5), (5, 7), (7, 10)]
+
+    @pytest.mark.parametrize("workers, lo, hi", [(1, 0, 10), (4, 5, 6)])
+    def test_single_piece_runs_inline(self, monkeypatch, workers, lo, hi):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        main = threading.get_ident()
+        assert mc._map_pieces(lambda a, b: threading.get_ident(), lo, hi) == [main]
+
+    def test_caller_runs_the_first_piece_and_the_pool_the_rest(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        main = threading.get_ident()
+        first, second = mc._map_pieces(lambda a, b: threading.get_ident(), 0, 4)
+        assert first == main != second
+
+    def test_failing_piece_waits_for_the_others(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        finished = []
+
+        def piece(a, b):
+            if a == 0:
+                raise ValueError("first piece")
+            time.sleep(0.2)
+            finished.append(a)
+
+        with pytest.raises(ValueError):
+            mc._map_pieces(piece, 0, 4)
+        assert finished == [2]
+
+    def test_pool_is_made_once(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        mc._map_pieces(lambda a, b: None, 0, 2)
+        pool = mc._executor()
+        assert mc._map_pieces(lambda a, b: b - a, 0, 5) == [2, 3]
+        assert mc._executor() is pool
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        mc._map_pieces(lambda a, b: None, 0, 2)  # the parent's pool exists
+        pid = os.fork()
+        if pid == 0:  # child: the inherited executor has no threads
+            signal.alarm(30)
+            ok = False
+            try:
+                ok = mc._map_pieces(lambda a, b: b - a, 0, 4) == [2, 2]
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_analytic_report_starts_no_thread(self):
+        code = (
+            "import io, sys, threading\n"
+            "from contextlib import redirect_stdout\n"
+            "from sdmcap import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['analytic', '--modes', '6', '--snr-db', '10',\n"
+            "              '--sigma-mdg-db', '5'])\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, check=True, env=env)
+        assert out.stdout.split() == ["False", "1"]
 
 
 class TestCalibrationMemo:
@@ -155,31 +271,29 @@ class TestCalibrationMemo:
         if budget_chunks is not None:
             monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: chunk)
             monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * chunk * K * D * D)
-        evals = []
+        factored = []  # trials whose Haar factors each evaluation computes
         original_measure = mc.measure_ensemble_std
 
         def counted_measure(*args, **kwargs):
-            evals.append(args[2])
+            factored.append(0)
             return original_measure(*args, **kwargs)
 
-        factored = []
         original_qr = np.linalg.qr
 
         def counted_qr(a, *args, **kwargs):
-            factored.append(a.shape[0])
+            factored[-1] += a.shape[0]
             return original_qr(a, *args, **kwargs)
 
         monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         calibrate_section_gain(SPEC_D6, K, trials, seed=1)
-        n = len(evals)
+        n = len(factored)
         assert n >= 2
         if budget_chunks is None:
-            assert factored == [trials]  # one chunk, memoised, factored once
+            assert factored == [trials] + [0] * (n - 1)  # one chunk, held
         else:
             recomputed = trials // chunk - budget_chunks
-            assert factored == [chunk] * (budget_chunks + recomputed) \
-                + [chunk] * recomputed * (n - 1)
+            assert factored == [trials] + [chunk * recomputed] * (n - 1)
 
     def test_memo_holds_at_most_one_chunk_budget(self):
         # D = 40, K = 100: 25 trials fill the budget; the 26th is rebuilt
@@ -187,7 +301,7 @@ class TestCalibrationMemo:
         spec = ChannelSpec(40, 10.0, 5.0)
         mc.measure_ensemble_std(spec, 100, 0.5, seed=0, trials=26, memo=memo)
         held = sum(q.size for q, _ in memo.values())
-        assert list(memo) == [0]
+        assert _held_trials(memo) == list(range(25))
         assert held == 25 * 100 * 40 * 40 <= mc._CHUNK_BUDGET
 
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
@@ -301,6 +415,39 @@ class TestRunEnsemble:
         assert res.discarded_trials == 1
         assert len(res.total_samples) == 299
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
+    def test_non_positive_spectrum_is_discarded(self, monkeypatch, bad):
+        monkeypatch.setattr(mc, "calibrate_section_gain",
+                            lambda *a, **k: 0.5)
+        original = mc._gains_from_channels
+        calls = itertools.count()
+
+        def one_bad_row(h, D, power_control=POWER_CONTROL_ENSEMBLE):
+            lam = original(h, D, power_control)
+            if next(calls) == 0:
+                lam[0, 0] = bad
+            return lam
+
+        monkeypatch.setattr(mc, "_gains_from_channels", one_bad_row)
+        res = run_ensemble(McConfig(SPEC_D6, trials=300, seed=2))
+        assert res.discarded_trials == 1
+        assert len(res.total_samples) == 299
+        assert np.isfinite(res.gain_samples).all()
+
+    def test_non_positive_spectra_beyond_one_percent_raise(self, monkeypatch):
+        monkeypatch.setattr(mc, "calibrate_section_gain",
+                            lambda *a, **k: 0.5)
+        original = mc._gains_from_channels
+
+        def all_bad(h, D, power_control=POWER_CONTROL_ENSEMBLE):
+            lam = original(h, D, power_control)
+            lam[:, 0] = -1.0
+            return lam
+
+        monkeypatch.setattr(mc, "_gains_from_channels", all_bad)
+        with pytest.raises(EnsembleError):
+            run_ensemble(McConfig(SPEC_D6, trials=50, seed=2))
+
     def test_too_many_discards_raise(self, monkeypatch):
         monkeypatch.setattr(mc, "calibrate_section_gain",
                             lambda *a, **k: 0.5)
@@ -313,6 +460,28 @@ class TestRunEnsemble:
             run_ensemble(McConfig(SPEC_D6, trials=50, seed=2))
 
 
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite number {token} in the result")
+
+
+class TestRunEnsembleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(2, 8), sigma=st.floats(0.0, 12.0, exclude_min=True),
+           K=st.integers(1, 6), trials=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1),
+           pc=st.sampled_from([POWER_CONTROL_ENSEMBLE, POWER_CONTROL_TRIAL]))
+    def test_result_is_finite_or_a_typed_error(self, D, sigma, K, trials, seed, pc):
+        config = McConfig(ChannelSpec(D, 10.0, sigma), sections=K, trials=trials,
+                          seed=seed, calibration_trials=40, power_control=pc)
+        try:
+            res = run_ensemble(config)
+        except SdmCapError:
+            return
+        json.loads(result_to_json(res), parse_constant=_reject_non_finite)
+        assert np.isfinite(res.gain_samples).all()
+        assert np.isfinite(res.cap_samples).all()
+
+
 class TestSerialization:
     def test_json_payload_shape(self, small_ensemble):
         payload = json.loads(result_to_json(small_ensemble))
@@ -323,6 +492,13 @@ class TestSerialization:
         assert len(payload["total_samples"]) == 400
         assert len(payload["gain_histogram"]["edges"]) == \
             len(payload["gain_histogram"]["counts"]) + 1
+
+    def test_histogram_of_a_range_narrower_than_its_bins(self):
+        # three adjacent floats cannot hold 80 distinct bin edges
+        values = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+        hist = mc._histogram(values, 80)
+        assert len(hist["edges"]) == 81 and sum(hist["counts"]) == 3
+        assert np.all(np.diff(hist["edges"]) > 0)
 
     def test_csv_rows_shape(self, small_ensemble):
         rows = result_to_csv_rows(small_ensemble)

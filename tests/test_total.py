@@ -47,6 +47,25 @@ class TestCorrelation:
         assert total.correlation(2, 4, 5.0, model) == \
             total.correlation(1, 3, 5.0, model)
 
+    def test_computed_once_per_lag(self, monkeypatch):
+        # a D = 100 report needs D lag values per use, not D^2 pair values
+        D = 100
+        stats = per_mode_stats(ChannelSpec(D, 10.0, 5.0))
+        model = total.CorrelationModel(gamma0=0.0, gamma1=0.0, D=D, snr_db=10.0)
+        expected = [[total.correlation(i, j, 5.0, model) for j in range(1, D + 1)]
+                    for i in range(1, D + 1)]
+        calls = []
+        original = total.correlation
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(total, "correlation", counted)
+        assert total.correlation_matrix(D, 5.0, model) == expected
+        total.total_stats(stats, model, 5.0)
+        assert len(calls) == 2 * D
+
 
 class TestTotalStats:
     def test_case_study_totals(self, case_stats, model):
