@@ -20,7 +20,6 @@ from .errors import (
     QuadratureError,
     RootLocalizationError,
     SdmCapError,
-    TrialError,
     UnsupportedOrderError,
 )
 from .fitting import fit, msle
@@ -66,7 +65,6 @@ __all__ = [
     "RootLocalizationError",
     "SdmCapError",
     "TotalCapacityStats",
-    "TrialError",
     "UnsupportedOrderError",
     "apply_frequency_diversity",
     "capacity_from_gain",

@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Subcommands: ``coeffs`` (derive and cache density coefficients),
+Subcommands: ``coeffs`` (derive and check density coefficients),
 ``analytic`` (per-mode and total capacity statistics), ``simulate``
 (Monte-Carlo ensemble), ``fit`` (correlation-coefficient fitting) and
 ``sweep`` (analytic-vs-simulated deviation grids).  Every command accepts
 ``--format json|csv`` and ``--out PATH``; the file receives exactly what
-is printed.  Exit codes: 0 success, 2 invalid range/arguments, 3 missing
-correlation coefficients, 4 simulation failure, 5 fit failure.
+is printed.  A JSON report is one line of sorted keys with compact
+separators; ``csv`` flattens it to ``key,value`` lines, except the
+sweep, which prints one table row per grid point.  Exit codes: 0 success,
+2 invalid range/arguments, 3 missing correlation coefficients, 4
+simulation failure, 5 fit failure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
     EnsembleError,
     FitError,
     SdmCapError,
-    TrialError,
     UnsupportedOrderError,
 )
 from .mc import (
@@ -75,15 +77,21 @@ def _flatten(payload, prefix=""):
         yield f"{prefix[:-1]},{payload}"
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "".join(line + "\n" for line in _flatten(payload))
+def _write(text: str, args) -> None:
+    """Print ``text`` and, with ``--out``, write the same text to that file."""
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    if args.format == "json":
+        # as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        text = "".join(line + "\n" for line in _flatten(payload))
+    _write(text, args)
 
 
 def _gamma_model(args, spec: ChannelSpec):
@@ -98,11 +106,8 @@ def _gamma_model(args, spec: ChannelSpec):
 
 
 def cmd_coeffs(args) -> int:
-    coeffs = cache.cached_coefficients(args.modes)
-    area = sum(
-        2 * b * gue._double_factorial_odd(j) / (coeffs.D + 1) ** j
-        for j, b in enumerate(coeffs.beta)
-    )  # in units of the half Gaussian integral: equals 1 iff unit area
+    coeffs = gue.derive_coefficients(args.modes)
+    area = gue.unit_area_check(coeffs)
     variance = gue.unit_variance_check(coeffs)
     payload = {
         "schema": 1,
@@ -183,14 +188,8 @@ def cmd_simulate(args) -> int:
             fh.write(",".join(header) + "\n")
             for row in result_to_csv_rows(result):
                 fh.write(",".join(str(v) for v in row) + "\n")
-    text = result_to_json(result) + "\n"
-    if args.format == "csv":
-        payload = json.loads(text)
-        text = "".join(line + "\n" for line in _flatten(payload))
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    # re-encoding the parsed report reproduces it byte for byte
+    _emit(json.loads(result_to_json(result)), args)
     return EXIT_OK
 
 
@@ -205,6 +204,13 @@ def _oracle_variances(D, snr_db, sigma_grid, trials, seed, sections):
     return variances
 
 
+def _analytic_variance(model: CorrelationModel, sigma: float) -> float:
+    """Total-capacity variance of the correlation model at ``sigma``."""
+    spec = ChannelSpec(model.D, model.snr_db, sigma)
+    a, b = total.variance_terms(per_mode_stats(spec).cap_sigmas)
+    return a + b * model.combined_coefficient(sigma)
+
+
 def cmd_fit(args) -> int:
     grid = _parse_sigma_grid(args.sigma_grid)
     oracle_vars = _oracle_variances(args.modes, args.snr_db, grid,
@@ -212,12 +218,7 @@ def cmd_fit(args) -> int:
     model = fitting.fit(args.modes, args.snr_db, grid, oracle_vars)
     cache.store_gamma(model)
 
-    provider = fitting.default_per_mode_provider(args.modes, args.snr_db)
-    analytic_vars = []
-    for sigma in grid:
-        a, b = fitting._variance_terms(args.modes, provider(sigma).cap_sigmas)
-        analytic_vars.append(
-            a + b * (model.gamma0 + model.gamma1 * sigma**total.CORRELATION_EXPONENT))
+    analytic_vars = [_analytic_variance(model, sigma) for sigma in grid]
     payload = {
         "schema": 1,
         "mode_count": args.modes,
@@ -251,11 +252,8 @@ def cmd_sweep(args) -> int:
                 )
                 return EXIT_NO_GAMMA
             model = fitting.fit(D, args.snr_db, grid, sim_vars)
-        provider = fitting.default_per_mode_provider(D, args.snr_db)
         for sigma, sim_var in zip(grid, sim_vars):
-            a, b = fitting._variance_terms(D, provider(sigma).cap_sigmas)
-            var = a + b * (model.gamma0
-                           + model.gamma1 * sigma**total.CORRELATION_EXPONENT)
+            var = _analytic_variance(model, sigma)
             rows.append({
                 "mode_count": D,
                 "snr_db": args.snr_db,
@@ -263,18 +261,13 @@ def cmd_sweep(args) -> int:
                 "sigma_ct_analytic": math.sqrt(max(var, 0.0)),
                 "sigma_ct_sim": math.sqrt(max(sim_var, 0.0)),
             })
-    payload = {"schema": 1, "rows": rows}
     if args.format == "csv":
         header = ["mode_count", "snr_db", "sigma_mdg_db",
                   "sigma_ct_analytic", "sigma_ct_sim"]
-        text = ",".join(header) + "\n" + "".join(
-            ",".join(str(r[k]) for k in header) + "\n" for r in rows)
-        sys.stdout.write(text)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write(",".join(header) + "\n" + "".join(
+            ",".join(str(r[k]) for k in header) + "\n" for r in rows), args)
     else:
-        _emit(payload, args)
+        _emit({"schema": 1, "rows": rows}, args)
     return EXIT_OK
 
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="derive and cache density coefficients")
+    p = sub.add_parser("coeffs", help="derive and check density coefficients")
     p.add_argument("--modes", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_coeffs)
@@ -374,7 +367,7 @@ def main(argv=None) -> int:
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RANGE
-    except (CalibrationError, EnsembleError, TrialError) as exc:
+    except (CalibrationError, EnsembleError) as exc:
         sys.stderr.write(f"simulation error: {exc}\n")
         return EXIT_SIMULATION
     except FitError as exc:

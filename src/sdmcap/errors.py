@@ -33,10 +33,6 @@ class CalibrationError(SdmCapError):
     """Per-section gain calibration did not converge."""
 
 
-class TrialError(SdmCapError):
-    """A single Monte-Carlo trial failed (e.g. eigendecomposition)."""
-
-
 class EnsembleError(SdmCapError):
     """Too many Monte-Carlo trials were discarded."""
 

@@ -3,12 +3,8 @@
 Fits (gamma0, gamma1) of the inter-mode correlation model by matching the
 analytic total-capacity variance to simulated variances over a sigma_mdg
 grid.  The analytic variance is linear in the combined coefficient
-g = gamma0 + gamma1 * sigma^2.75:
-
-    var(sigma) = A(sigma) + B(sigma) * g,
-    A = sum_ij s_i s_j e^(-|i-j|),   B = A - (sum_i s_i)^2 < 0,
-
-with s_i the per-mode capacity deviations.  Phase one anchors gamma0 so the
+g = gamma0 + gamma1 * sigma^2.75, var(sigma) = A(sigma) + B(sigma) * g with
+B < 0 (``total.variance_terms``).  Phase one anchors gamma0 so the
 variance at the smallest grid sigma is matched exactly; phase two searches
 gamma1 by golden section, re-anchoring gamma0 for every candidate, and
 finally nudges gamma0 downward if the fitted variance curve fails to be
@@ -18,11 +14,12 @@ monotonically increasing in sigma_mdg.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .capacity import per_mode_stats
 from .channel import ChannelSpec
 from .errors import FitError
-from .total import CORRELATION_EXPONENT, CorrelationModel
+from .total import CORRELATION_EXPONENT, CorrelationModel, variance_terms
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,27 +41,7 @@ def msle(analytic_vars, oracle_vars) -> float:
     return acc / len(analytic_vars)
 
 
-def _variance_terms(D: int, cap_sigmas) -> tuple:
-    """(A, B) of the linear variance model var = A + B * g."""
-    a = 0.0
-    for i in range(D):
-        for j in range(D):
-            a += cap_sigmas[i] * cap_sigmas[j] * math.exp(-abs(i - j))
-    total = sum(cap_sigmas)
-    return a, a - total * total
-
-
-def default_per_mode_provider(D: int, snr_db: float):
-    """Per-mode statistics provider backed by the analytic pipeline."""
-
-    def provider(sigma_mdg_db: float):
-        return per_mode_stats(ChannelSpec(D, snr_db, sigma_mdg_db))
-
-    return provider
-
-
-def fit(D: int, snr_db: float, sigma_grid, oracle_vars,
-        per_mode_provider=None) -> CorrelationModel:
+def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> CorrelationModel:
     """Fit (gamma0, gamma1) to simulated total-capacity variances.
 
     ``sigma_grid`` must be ascending with at least three points; its
@@ -84,34 +61,30 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars,
         raise ValueError("oracle_vars must match sigma_grid in length")
     if any(v <= 0 for v in oracle_vars):
         raise ValueError("oracle variances must be positive")
-    if per_mode_provider is None:
-        per_mode_provider = default_per_mode_provider(D, snr_db)
 
-    terms = [_variance_terms(D, per_mode_provider(s).cap_sigmas)
-             for s in sigma_grid]
+    # the grid interleaved with its midpoints: grid points at even indices
     check_sigmas = sorted(
         sigma_grid
         + [0.5 * (lo + hi) for lo, hi in zip(sigma_grid, sigma_grid[1:])]
     )
-    check_terms = [_variance_terms(D, per_mode_provider(s).cap_sigmas)
+    check_terms = [variance_terms(per_mode_stats(ChannelSpec(D, snr_db, s)).cap_sigmas)
                    for s in check_sigmas]
+    terms = check_terms[0::2]
 
     a0, b0 = terms[0]
     s0_pow = sigma_grid[0] ** CORRELATION_EXPONENT
 
-    def anchored_gamma0(gamma1: float) -> float:
+    def anchored(gamma1: float) -> CorrelationModel:
         # exact phase-one anchor: variance at the smallest sigma is matched
-        return (oracle_vars[0] - a0) / b0 - gamma1 * s0_pow
+        return CorrelationModel(gamma0=(oracle_vars[0] - a0) / b0 - gamma1 * s0_pow,
+                                gamma1=gamma1, D=D, snr_db=snr_db)
 
-    def model_vars(gamma0, gamma1, sigmas, sigma_terms):
-        out = []
-        for s, (a, b) in zip(sigmas, sigma_terms):
-            out.append(a + b * (gamma0 + gamma1 * s**CORRELATION_EXPONENT))
-        return out
+    def model_vars(model, sigmas, sigma_terms):
+        return [a + b * model.combined_coefficient(s)
+                for s, (a, b) in zip(sigmas, sigma_terms)]
 
     def objective(gamma1: float) -> float:
-        gamma0 = anchored_gamma0(gamma1)
-        vars_ = model_vars(gamma0, gamma1, sigma_grid, terms)
+        vars_ = model_vars(anchored(gamma1), sigma_grid, terms)
         if any(v <= 0 for v in vars_):
             return math.inf
         return msle(vars_, oracle_vars)
@@ -142,30 +115,24 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars,
     g1_neg, f_neg, used_neg = golden_section(-GAMMA1_MAGNITUDE, 0.0,
                                              MAX_ITERATIONS // 2)
     iterations = used_pos + used_neg
-    gamma1 = g1_pos if f_pos <= f_neg * (1.0 + 1e-9) + 1e-15 else g1_neg
-    gamma0 = anchored_gamma0(gamma1)
+    model = anchored(g1_pos if f_pos <= f_neg * (1.0 + 1e-9) + 1e-15 else g1_neg)
 
-    def is_monotone(g0, g1):
-        vars_ = model_vars(g0, g1, check_sigmas, check_terms)
+    def is_monotone(candidate):
+        vars_ = model_vars(candidate, check_sigmas, check_terms)
         return all(v2 > v1 for v1, v2 in zip(vars_, vars_[1:]))
 
-    if not is_monotone(gamma0, gamma1):
+    if not is_monotone(model):
         # small downward corrections to gamma0: B < 0 grows in magnitude
         # with sigma, so lowering gamma0 steepens the variance curve
-        step = max(abs(gamma0), 1e-3) * 1e-3
-        candidate = gamma0
+        step = max(abs(model.gamma0), 1e-3) * 1e-3
+        candidate = model
         for _ in range(MAX_ITERATIONS - iterations):
-            candidate -= step
-            if is_monotone(candidate, gamma1):
-                gamma0 = candidate
-                break
-        else:
-            best = CorrelationModel(gamma0=gamma0, gamma1=gamma1,
-                                    D=D, snr_db=snr_db)
-            raise FitError(
-                "fitted variance curve is not monotonically increasing in "
-                "sigma_mdg and gamma0 corrections did not restore it",
-                best_candidate=best,
-            )
-
-    return CorrelationModel(gamma0=gamma0, gamma1=gamma1, D=D, snr_db=snr_db)
+            candidate = replace(candidate, gamma0=candidate.gamma0 - step)
+            if is_monotone(candidate):
+                return candidate
+        raise FitError(
+            "fitted variance curve is not monotonically increasing in "
+            "sigma_mdg and gamma0 corrections did not restore it",
+            best_candidate=model,
+        )
+    return model

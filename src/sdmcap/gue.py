@@ -59,9 +59,10 @@ class GueCoefficients:
         return tuple(float(b) for b in self.beta)
 
 
-def _double_factorial_odd(j: int) -> int:
-    # (2j - 1)!! with the j = 0 case equal to 1
-    return math.factorial(2 * j) // (2**j * math.factorial(j))
+def _even_moment(j: int, D: int) -> Fraction:
+    """Exact Gaussian moment int exp(-(D+1) x^2 / 2) x^(2j) dx in units of
+    sqrt(2 pi / (D+1)): (2j - 1)!! / (D+1)^j, with (-1)!! = 1."""
+    return Fraction(math.factorial(2 * j) // (2**j * math.factorial(j)), (D + 1) ** j)
 
 
 @lru_cache(maxsize=None)
@@ -99,23 +100,20 @@ def derive_coefficients(D: int) -> GueCoefficients:
                 j = xpow // 2
                 c[j] += t_coeff * hcoeff * s2**j
 
-    # Gaussian moments: int exp(-(D+1) x^2 / 2) x^(2j) dx
-    #                   = sqrt(2 pi / (D+1)) (2j-1)!! / (D+1)^j
-    area_sum = sum(
-        cj * _double_factorial_odd(j) / Fraction(D + 1) ** j for j, cj in enumerate(c)
-    )
+    area_sum = sum(cj * _even_moment(j, D) for j, cj in enumerate(c))
     beta = tuple(cj / (2 * area_sum) for cj in c)
     alpha = math.sqrt(2.0 * (D + 1) / math.pi)
     return GueCoefficients(D=D, alpha=alpha, beta=beta)
 
 
+def unit_area_check(coeffs: GueCoefficients) -> Fraction:
+    """Exact area of the normalized density (should be 1)."""
+    return 2 * sum(bj * _even_moment(j, coeffs.D) for j, bj in enumerate(coeffs.beta))
+
+
 def unit_variance_check(coeffs: GueCoefficients) -> Fraction:
     """Exact second moment of the normalized zero-mean density (should be 1)."""
-    D = coeffs.D
-    return 2 * sum(
-        bj * _double_factorial_odd(j + 1) / Fraction(D + 1) ** (j + 1)
-        for j, bj in enumerate(coeffs.beta)
-    )
+    return 2 * sum(bj * _even_moment(j + 1, coeffs.D) for j, bj in enumerate(coeffs.beta))
 
 
 def ensemble_pdf(x: float, spec: ChannelSpec, coeffs: GueCoefficients,

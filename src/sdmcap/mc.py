@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import CalibrationError, EnsembleError, SdmCapError, TrialError
+from .errors import CalibrationError, EnsembleError, SdmCapError
 
 _STREAM_TRIAL = 0
 _STREAM_CALIBRATION = 1
@@ -61,18 +61,18 @@ class McConfig:
     sections: int = 100  # metadata-only physical analogue: 100 x 50 km
     trials: int = 100
     seed: int = 0
-    freq_bins: int | None = None  # None: take from spec
     calibration_tol: float = 0.01  # relative, on the ensemble gain std
     calibration_trials: int = 400
     power_control: str = POWER_CONTROL_ENSEMBLE
 
     def __post_init__(self):
-        if self.sections < 1 or self.trials < 1 or self.calibration_trials < 1:
+        if self.sections < 1 or self.calibration_trials < 1:
             raise ValueError("all counts must be positive")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2: the ensemble deviations "
+                             "need two samples")
         if not 0.0 < self.calibration_tol < 0.2:
             raise ValueError("calibration_tol must lie in (0, 0.2)")
-        if self.freq_bins is not None and self.freq_bins < 1:
-            raise ValueError("freq_bins must be >= 1")
         if self.power_control not in (POWER_CONTROL_TRIAL, POWER_CONTROL_ENSEMBLE):
             raise ValueError(
                 f"power_control must be {POWER_CONTROL_TRIAL!r} or "
@@ -81,7 +81,8 @@ class McConfig:
 
     @property
     def effective_freq_bins(self) -> int:
-        return self.freq_bins if self.freq_bins is not None else self.spec.freq_bins
+        """Frequency bins per trial, as ``spec.freq_bins`` sets them."""
+        return self.spec.freq_bins
 
 
 @dataclass
@@ -168,23 +169,6 @@ def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
     if power_control == POWER_CONTROL_TRIAL:
         lam *= D / lam.sum(axis=-1, keepdims=True)
     return lam  # eigvalsh returns ascending order
-
-
-def run_trial(spec: ChannelSpec, K: int, g_db: float, rng,
-              power_control: str = POWER_CONTROL_TRIAL):
-    """One multisection realization: sorted gains (dB), capacities, total.
-
-    Defaults to per-trial power control (linear gains summing to exactly D)
-    because a single realization has no ensemble to normalize against;
-    ``ensemble`` returns the raw traceless-log spectrum instead.
-    """
-    try:
-        lam = _batch_gains(spec, K, g_db, [rng], power_control)[0]
-    except np.linalg.LinAlgError as exc:
-        raise TrialError(f"eigendecomposition failed: {exc}") from exc
-    gains = 10.0 * np.log10(lam)
-    caps = np.log2(1.0 + spec.snr_linear * lam)
-    return gains, caps, float(caps.sum())
 
 
 def _batch_gains(spec: ChannelSpec, K: int, g_db: float, rngs,
@@ -392,7 +376,7 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
     spec = config.spec
     D = spec.mode_count
     K = config.sections
-    N = config.effective_freq_bins
+    N = spec.freq_bins
     snr = spec.snr_linear
     pc = config.power_control
 
@@ -453,7 +437,7 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
     totals = cap_bins.sum(axis=2).mean(axis=1)
 
     total_mean = float(totals.mean())
-    total_var = float(totals.var(ddof=1)) if len(totals) > 1 else 0.0
+    total_var = float(totals.var(ddof=1))
     if np.any(caps.std(axis=0) > 0.0):
         corr = empirical_correlation(caps)
     else:
@@ -490,7 +474,7 @@ def result_to_json(result: McEnsembleResult) -> str:
             "mode_count": cfg.spec.mode_count,
             "snr_db": cfg.spec.snr_db,
             "sigma_mdg_db": cfg.spec.sigma_mdg_db,
-            "freq_bins": cfg.effective_freq_bins,
+            "freq_bins": cfg.spec.freq_bins,
             "sections": cfg.sections,
             "trials": cfg.trials,
             "seed": cfg.seed,

@@ -57,18 +57,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Return self(inner(x)) by Horner evaluation over polynomials."""
-        result = RationalPolynomial([])
-        for c in reversed(self.coeffs):
-            result = result * inner + RationalPolynomial([c])
-        return result
-
-    def differentiate(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
     def __call__(self, x):
         result = x * 0  # preserves Fraction vs float arithmetic
         for c in reversed(self.coeffs):

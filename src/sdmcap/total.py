@@ -11,7 +11,7 @@ import numpy as np
 from . import gue, wigner
 from .capacity import METHOD_GUE, PerModeStats
 from .channel import ChannelSpec
-from .errors import CorrelationRangeError, DegenerateDistributionError
+from .errors import CorrelationRangeError
 from .numerics import inverse_erf
 
 CORRELATION_EXPONENT = 2.75
@@ -33,6 +33,11 @@ class CorrelationModel:
     snr_db: float
     exponent: float = CORRELATION_EXPONENT
 
+    def combined_coefficient(self, sigma_mdg_db: float) -> float:
+        """g = gamma0 + gamma1 sigma_mdg^exponent, the one place the two
+        coefficients enter the correlation and the total variance."""
+        return self.gamma0 + self.gamma1 * sigma_mdg_db**self.exponent
+
 
 @dataclass(frozen=True)
 class TotalCapacityStats:
@@ -47,21 +52,32 @@ class TotalCapacityStats:
 def correlation(i: int, j: int, sigma_mdg_db: float,
                 model: CorrelationModel) -> float:
     """Empirical correlation between the capacities of modes i and j."""
-    d = abs(i - j)
-    decay = math.exp(-d)
-    g = model.gamma0 + model.gamma1 * sigma_mdg_db**model.exponent
-    return decay + (decay - 1.0) * g
-
-
-def _lag_correlations(D: int, sigma_mdg_db: float, model: CorrelationModel):
-    """``correlation`` at each lag |i - j| = 0 .. D - 1, on which alone it
-    depends."""
-    return [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
+    decay = math.exp(-abs(i - j))
+    return decay + (decay - 1.0) * model.combined_coefficient(sigma_mdg_db)
 
 
 def correlation_matrix(D: int, sigma_mdg_db: float, model: CorrelationModel):
-    rho = _lag_correlations(D, sigma_mdg_db, model)
+    """D x D ``correlation`` matrix, evaluated once per lag |i - j|, on which
+    alone it depends."""
+    rho = [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
     return [[rho[abs(i - j)] for j in range(D)] for i in range(D)]
+
+
+def variance_terms(cap_sigmas) -> tuple:
+    """(A, B) of the total variance sum_ij s_i s_j rho(|i - j|) = A + B g,
+    linear in the combined coefficient g of ``correlation``:
+
+        A = sum_ij s_i s_j e^(-|i-j|),   B = A - (sum_i s_i)^2,
+
+    for the per-mode capacity deviations s_i (e^(-d) computed once per lag)."""
+    D = len(cap_sigmas)
+    decay = [math.exp(-d) for d in range(D)]
+    a = 0.0
+    for i in range(D):
+        for j in range(D):
+            a += cap_sigmas[i] * cap_sigmas[j] * decay[abs(i - j)]
+    total = sum(cap_sigmas)
+    return a, a - total * total
 
 
 def total_stats(stats: PerModeStats, model: CorrelationModel,
@@ -70,14 +86,9 @@ def total_stats(stats: PerModeStats, model: CorrelationModel,
     """Total-capacity Gaussian parameters from per-mode statistics and the
     correlation model.  A non-positive computed variance means the empirical
     correlation model is being used outside its fitted envelope and raises."""
-    D = stats.D
     mu_ct = sum(stats.cap_means)
-    rho = _lag_correlations(D, sigma_mdg_db, model)
-    var = 0.0
-    for i in range(D):
-        si = stats.cap_sigmas[i]
-        for j in range(D):
-            var += si * stats.cap_sigmas[j] * rho[abs(i - j)]
+    a, b = variance_terms(stats.cap_sigmas)
+    var = a + b * model.combined_coefficient(sigma_mdg_db)
     if any(s > 0 for s in stats.cap_sigmas) and var <= 0:
         raise CorrelationRangeError(
             f"computed total variance {var} is not positive; the correlation "
@@ -142,11 +153,3 @@ def outage_capacity(mu: float, sigma: float, p_out: float) -> float:
     if sigma == 0:
         return mu
     return sigma * _normal_quantile(p_out) + mu
-
-
-def total_pdf(c: float, stats: TotalCapacityStats) -> float:
-    """Gaussian total-capacity density."""
-    if stats.sigma_ct <= 0:
-        raise DegenerateDistributionError("total capacity is deterministic")
-    u = (c - stats.mu_ct) / stats.sigma_ct
-    return math.exp(-0.5 * u * u) / (stats.sigma_ct * _SQRT_2PI)

@@ -150,11 +150,10 @@ def test_criterion_08_analytic_vs_oracle_variance():
             for s in sigma_grid
         ]
         model = fitting.fit(D, 10.0, sigma_grid, oracle_vars)
-        provider = fitting.default_per_mode_provider(D, 10.0)
         for s, oracle_var in zip(sigma_grid, oracle_vars):
-            a, b = fitting._variance_terms(D, provider(s).cap_sigmas)
-            analytic_var = a + b * (
-                model.gamma0 + model.gamma1 * s**total.CORRELATION_EXPONENT)
+            a, b = total.variance_terms(
+                per_mode_stats(ChannelSpec(D, 10.0, s)).cap_sigmas)
+            analytic_var = a + b * model.combined_coefficient(s)
             assert abs(math.log(analytic_var) - math.log(oracle_var)) <= 0.3, \
                 f"D={D}, sigma={s}"
     assert time.perf_counter() - start < 300.0
@@ -204,8 +203,8 @@ def test_criterion_11_frequency_diversity():
     model = fitting.fit(6, 10.0, sigma_grid, oracle_vars)
     stats = per_mode_stats(CASE_SPEC)
     analytic = total.total_stats(stats, model, 5.0)
-    two_bin = run_ensemble(McConfig(CASE_SPEC, trials=1000, seed=42,
-                                    freq_bins=2))
+    two_bin = run_ensemble(McConfig(ChannelSpec(6, 10.0, 5.0, freq_bins=2),
+                                    trials=1000, seed=42))
     target = analytic.sigma_ct**2 / 2.0
     assert abs(two_bin.total_var - target) <= 0.2 * target
 

@@ -20,34 +20,10 @@ class TestCacheDir:
         assert cache.cache_dir() == Path.home() / ".cache" / "sdmcap"
 
 
-class TestCoefficientCache:
-    def test_roundtrip_is_exact(self):
-        coeffs = cache.cached_coefficients(5)
-        assert coeffs == derive_coefficients(5)
-        reloaded = cache.load_cached_coefficients()
-        assert reloaded[5].beta == coeffs.beta
-        assert reloaded[5].alpha == coeffs.alpha
-
-    def test_file_format(self):
-        cache.cached_coefficients(6)
-        payload = json.loads((cache.cache_dir() / "coefficients.json").read_text())
-        assert payload["6"]["beta"][0] == "322/3125"
-        assert isinstance(payload["6"]["alpha"], str)
-
-    def test_merging_multiple_orders(self):
-        cache.cached_coefficients(3)
-        cache.cached_coefficients(4)
-        reloaded = cache.load_cached_coefficients()
-        assert set(reloaded) == {3, 4}
-
-    def test_corrupt_file_is_ignored(self):
-        path = cache.cache_dir() / "coefficients.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
-        assert cache.load_cached_coefficients() == {}
-        # a later store must recover
-        cache.cached_coefficients(2)
-        assert 2 in cache.load_cached_coefficients()
+class TestCoefficients:
+    def test_derived_and_not_stored(self):
+        assert cache.cached_coefficients(5) is derive_coefficients(5)
+        assert not cache.cache_dir().exists()
 
 
 class TestGammaTable:

@@ -37,10 +37,6 @@ class TestCoeffs:
         code, _ = run_cli(capsys, "coeffs", "--modes", "9")
         assert code == 2
 
-    def test_writes_cache(self, capsys):
-        run_cli(capsys, "coeffs", "--modes", "4")
-        assert 4 in cache.load_cached_coefficients()
-
 
 class TestAnalytic:
     def test_case_study_report(self, capsys):
@@ -169,6 +165,30 @@ class TestAnalyticProperties:
         assert outage < mean or p_out > 0.49
 
 
+_ORACLE_ARGS = ["--snr-db", "10", "--trials", "40", "--sections", "5", "--seed", "3"]
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--modes", "4"],
+        ["analytic", "--modes", "6", "--snr-db", "10", "--sigma-mdg-db", "5"],
+        ["simulate", "--modes", "4", "--sigma-mdg-db", "5", *_ORACLE_ARGS],
+        ["fit", "--modes", "4", "--sigma-grid", "1,2.5,5", *_ORACLE_ARGS],
+        ["sweep", "--modes", "4", "--sigma-grid", "1,3,5", *_ORACLE_ARGS],
+    ], ids=lambda argv: argv[0])
+    def test_file_equals_stdout(self, capsys, tmp_path, argv, fmt):
+        # the sweep reads this record instead of fitting; the others ignore it
+        cache.store_gamma(CorrelationModel(0.7, 0.0, D=4, snr_db=10.0))
+        path = tmp_path / "report"
+        code, out = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+        if fmt == "json":
+            assert out.count("\n") == 1
+            json.loads(out)
+
+
 class TestSimulate:
     def test_deterministic_output_file(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -182,6 +202,12 @@ class TestSimulate:
         payload = json.loads(a.read_text())
         assert payload["schema"] == 1
         assert payload["config"]["trials"] == 30
+
+    def test_single_trial_is_exit_2(self, capsys):
+        code, out = run_cli(capsys, "simulate", "--modes", "4", "--snr-db", "10",
+                            "--sigma-mdg-db", "5", "--trials", "1")
+        assert code == 2
+        assert out == ""
 
     def test_trial_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "trials.csv"

@@ -3,22 +3,34 @@ import math
 import pytest
 
 from sdmcap import fitting
+from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.errors import FitError
 from sdmcap.mc import McConfig, run_ensemble
-from sdmcap.total import CORRELATION_EXPONENT
+from sdmcap.total import CorrelationModel, variance_terms
 
 GAMMA0 = 0.43513127
 GAMMA1 = 3.758373e-5
 GRID = [1.0, 2.5, 5.0, 7.5]
 
+# float.hex of gamma0, gamma1 and the analytic variances that ``fit`` gives
+# for fixed synthetic oracle variances on the grid 2.5, 5, 7.5 dB at 10 dB
+# SNR, frozen so that a rewrite of the variance formula or of the search
+# changes no bit
+FROZEN_FITS = {
+    4: ([0.07, 0.27, 0.55], "0x1.0558d4211dc7ap-1", "0x1.67a304a6aebd4p-15",
+        ["0x1.1eb851eb851ecp-4", "0x1.03ca3d66094bap-2", "0x1.21edcd7b2f860p-1"]),
+    20: ([0.075, 0.22, 0.39], "0x1.94007853940c8p-5", "0x1.8dd2847f13e84p-14",
+         ["0x1.3333333333333p-4", "0x1.d8800be5116b9p-3", "0x1.89407bb05d604p-2"]),
+}
+
 
 def analytic_variances(D, snr_db, sigmas, gamma0, gamma1):
-    provider = fitting.default_per_mode_provider(D, snr_db)
+    model = CorrelationModel(gamma0, gamma1, D=D, snr_db=snr_db)
     out = []
     for s in sigmas:
-        a, b = fitting._variance_terms(D, provider(s).cap_sigmas)
-        out.append(a + b * (gamma0 + gamma1 * s**CORRELATION_EXPONENT))
+        a, b = variance_terms(per_mode_stats(ChannelSpec(D, snr_db, s)).cap_sigmas)
+        out.append(a + b * model.combined_coefficient(s))
     return out
 
 
@@ -89,6 +101,14 @@ class TestFit:
         check = sorted(sigmas + [1.75, 3.75])
         curve = analytic_variances(6, 10.0, check, model.gamma0, model.gamma1)
         assert all(b > a for a, b in zip(curve, curve[1:]))
+
+    @pytest.mark.parametrize("D", sorted(FROZEN_FITS))
+    def test_frozen_bits(self, D):
+        oracle, gamma0, gamma1, variances = FROZEN_FITS[D]
+        model = fitting.fit(D, 10.0, [2.5, 5.0, 7.5], oracle)
+        assert (model.gamma0.hex(), model.gamma1.hex()) == (gamma0, gamma1)
+        got = analytic_variances(D, 10.0, [2.5, 5.0, 7.5], model.gamma0, model.gamma1)
+        assert [v.hex() for v in got] == variances
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -39,12 +39,13 @@ class TestDeriveCoefficients:
     @pytest.mark.parametrize("D", range(2, 9))
     def test_unit_area_and_variance_are_exact(self, D):
         coeffs = gue.derive_coefficients(D)
-        area = 2 * sum(
-            b * gue._double_factorial_odd(j) / Fraction(D + 1) ** j
-            for j, b in enumerate(coeffs.beta)
-        )
-        assert area == 1
-        assert gue.unit_variance_check(coeffs) == 1
+        # (2j - 1)!! / (D+1)^j: the Gaussian moments in units of sqrt(2 pi / (D+1))
+        moments = [Fraction(math.factorial(2 * j) // (2**j * math.factorial(j)), (D + 1) ** j)
+                   for j in range(D + 1)]
+        area = 2 * sum(b * moments[j] for j, b in enumerate(coeffs.beta))
+        second = 2 * sum(b * moments[j + 1] for j, b in enumerate(coeffs.beta))
+        assert area == second == 1
+        assert gue.unit_area_check(coeffs) == gue.unit_variance_check(coeffs) == 1
 
     @pytest.mark.parametrize("D", [1, 9, 0, -3])
     def test_out_of_range_orders_rejected(self, D):

@@ -26,7 +26,6 @@ from sdmcap.mc import (
     result_to_csv_rows,
     result_to_json,
     run_ensemble,
-    run_trial,
 )
 
 SPEC_D6 = ChannelSpec(6, 10.0, 5.0)
@@ -41,18 +40,18 @@ class TestMcConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             McConfig(SPEC_D6, trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            McConfig(SPEC_D6, trials=1)  # its per-mode deviations would be NaN
         with pytest.raises(ValueError):
             McConfig(SPEC_D6, sections=0)
         with pytest.raises(ValueError):
             McConfig(SPEC_D6, calibration_tol=0.5)
         with pytest.raises(ValueError):
-            McConfig(SPEC_D6, freq_bins=0)
-        with pytest.raises(ValueError):
             McConfig(SPEC_D6, power_control="per-section")
 
     def test_freq_bins_falls_back_to_spec(self):
         assert McConfig(ChannelSpec(6, 10.0, 5.0, freq_bins=3)).effective_freq_bins == 3
-        assert McConfig(SPEC_D6, freq_bins=2).effective_freq_bins == 2
+        assert McConfig(SPEC_D6).effective_freq_bins == 1
 
 
 class TestHaarUnitary:
@@ -311,28 +310,35 @@ class TestCalibrationMemo:
         assert memo == {}
 
 
+def _trial_gains(K, g_db, trial, power_control=POWER_CONTROL_TRIAL):
+    """Sorted linear gains of one trial stream of the D = 6 case study."""
+    return mc._batch_gains(SPEC_D6, K, g_db, [mc._rng(0, 0, trial)], power_control)[0]
+
+
 class TestRunTrial:
+    """Single realizations: ``_batch_gains`` on one trial stream."""
+
     def test_trial_power_control_pins_linear_sum(self):
-        g, caps, tot = run_trial(SPEC_D6, 100, 0.5, mc._rng(0, 0, 0))
-        assert abs((10.0 ** (np.array(g) / 10.0)).sum() - 6.0) < 1e-9
+        assert abs(_trial_gains(100, 0.5, 0).sum() - 6.0) < 1e-9
 
     def test_ensemble_power_control_pins_log_sum(self):
-        g, caps, tot = run_trial(SPEC_D6, 100, 0.5, mc._rng(0, 0, 0),
-                                 power_control=POWER_CONTROL_ENSEMBLE)
-        assert abs(np.array(g).sum()) < 1e-8
+        lam = _trial_gains(100, 0.5, 0, POWER_CONTROL_ENSEMBLE)
+        assert abs(10.0 * np.log10(lam).sum()) < 1e-8
 
     def test_zero_gain_is_flat(self):
-        g, caps, tot = run_trial(SPEC_D6, 20, 0.0, mc._rng(0, 0, 1))
-        assert np.abs(np.array(g)).max() < 1e-10
-        assert tot == pytest.approx(6 * math.log2(11.0), abs=1e-9)
+        lam = _trial_gains(20, 0.0, 1)
+        assert np.abs(10.0 * np.log10(lam)).max() < 1e-10
+        assert np.log2(1.0 + SPEC_D6.snr_linear * lam).sum() == pytest.approx(
+            6 * math.log2(11.0), abs=1e-9)
 
-    def test_total_is_sum_of_capacities(self):
-        _, caps, tot = run_trial(SPEC_D6, 100, 0.5, mc._rng(0, 0, 2))
-        assert tot == pytest.approx(float(np.sum(caps)), abs=1e-12)
+    def test_total_is_sum_of_capacities(self, small_ensemble):
+        np.testing.assert_allclose(small_ensemble.total_samples,
+                                   small_ensemble.cap_samples.sum(axis=1),
+                                   rtol=0, atol=1e-12)
 
     def test_gains_sorted_ascending(self):
-        g, _, _ = run_trial(SPEC_D6, 100, 0.5, mc._rng(0, 0, 3))
-        assert list(g) == sorted(g)
+        lam = _trial_gains(100, 0.5, 3)
+        assert list(lam) == sorted(lam)
 
 
 class TestEmpiricalCorrelation:
@@ -393,7 +399,8 @@ class TestRunEnsemble:
 
     def test_freq_bins_average_reduces_spread(self):
         res1 = run_ensemble(McConfig(SPEC_D6, trials=400, seed=8))
-        res2 = run_ensemble(McConfig(SPEC_D6, trials=400, seed=8, freq_bins=2))
+        res2 = run_ensemble(McConfig(ChannelSpec(6, 10.0, 5.0, freq_bins=2),
+                                     trials=400, seed=8))
         assert res2.total_var < res1.total_var
 
     def test_single_bad_draw_is_discarded(self, monkeypatch):

@@ -27,15 +27,6 @@ class TestRationalPolynomial:
         q = RationalPolynomial([0, 0, 5])
         assert (p - q).coeffs == (Fraction(1),)
 
-    def test_differentiate(self):
-        p = RationalPolynomial([7, 3, 0, 2])  # 7 + 3x + 2x^3
-        assert p.differentiate().coeffs == (Fraction(3), Fraction(0), Fraction(6))
-
-    def test_compose(self):
-        p = RationalPolynomial([0, 0, 1])   # x^2
-        q = RationalPolynomial([1, 1])      # 1 + x
-        assert p.compose(q).coeffs == (Fraction(1), Fraction(2), Fraction(1))
-
     def test_call_is_exact_for_rational_input(self):
         p = RationalPolynomial([Fraction(1, 2), Fraction(1, 3)])
         assert p(Fraction(3)) == Fraction(3, 2)

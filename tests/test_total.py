@@ -5,8 +5,7 @@ import pytest
 from sdmcap import total
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
-from sdmcap.errors import CorrelationRangeError, DegenerateDistributionError
-from sdmcap.numerics import integrate
+from sdmcap.errors import CorrelationRangeError
 
 GAMMA0 = 0.43513127
 GAMMA1 = 3.758373e-5
@@ -63,8 +62,13 @@ class TestCorrelation:
 
         monkeypatch.setattr(total, "correlation", counted)
         assert total.correlation_matrix(D, 5.0, model) == expected
+        assert len(calls) == D
+        exps = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: exps.append(x) or exp(x))
         total.total_stats(stats, model, 5.0)
-        assert len(calls) == 2 * D
+        assert len(calls) == D  # the variance takes no pair correlation
+        assert len(exps) == D  # and one decay factor per lag
 
 
 class TestTotalStats:
@@ -148,20 +152,3 @@ class TestOutage:
             total.outage_capacity(10.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             total.outage_capacity(10.0, -1.0, 0.1)
-
-
-class TestTotalPdf:
-    def test_normalization_and_mode(self, case_stats, model):
-        ts = total.total_stats(case_stats, model, 5.0)
-        area = integrate(lambda c: total.total_pdf(c, ts),
-                         ts.mu_ct - 8 * ts.sigma_ct,
-                         ts.mu_ct + 8 * ts.sigma_ct, tol=1e-10)
-        assert area == pytest.approx(1.0, abs=1e-9)
-        assert total.total_pdf(ts.mu_ct, ts) == pytest.approx(
-            1.0 / (ts.sigma_ct * math.sqrt(2 * math.pi)), abs=1e-12)
-
-    def test_degenerate_raises(self):
-        ts = total.TotalCapacityStats(mu_ct=10.0, sigma_ct=0.0,
-                                      mu_ct_exact=float("nan"))
-        with pytest.raises(DegenerateDistributionError):
-            total.total_pdf(10.0, ts)
