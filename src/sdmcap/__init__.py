@@ -30,6 +30,7 @@ from .mc import (
     POWER_CONTROL_ENSEMBLE,
     POWER_CONTROL_TRIAL,
     run_ensemble,
+    run_ensembles,
 )
 from .total import (
     CorrelationModel,
@@ -77,6 +78,7 @@ __all__ = [
     "outage_capacity",
     "per_mode_stats",
     "run_ensemble",
+    "run_ensembles",
     "total_stats",
     "__version__",
 ]

@@ -39,6 +39,7 @@ from .mc import (
     result_to_csv_rows,
     result_to_json,
     run_ensemble,
+    run_ensembles,
 )
 from .total import CorrelationModel
 
@@ -194,14 +195,11 @@ def cmd_simulate(args) -> int:
 
 
 def _oracle_variances(D, snr_db, sigma_grid, trials, seed, sections):
-    variances = []
-    for sigma in sigma_grid:
-        config = McConfig(
-            spec=ChannelSpec(D, snr_db, sigma),
-            sections=sections, trials=trials, seed=seed,
-        )
-        variances.append(run_ensemble(config).total_var)
-    return variances
+    """Oracle total-capacity variance at each grid sigma, from one pass."""
+    configs = [McConfig(spec=ChannelSpec(D, snr_db, sigma), sections=sections,
+                        trials=trials, seed=seed)
+               for sigma in sigma_grid]
+    return [result.total_var for result in run_ensembles(configs)]
 
 
 def _analytic_variance(model: CorrelationModel, sigma: float) -> float:
@@ -237,20 +235,22 @@ def cmd_fit(args) -> int:
 def cmd_sweep(args) -> int:
     modes = [int(m) for m in args.modes.split(",")]
     grid = _parse_sigma_grid(args.sigma_grid)
+    models = {D: cache.lookup_gamma(D, args.snr_db) for D in modes}
+    unfittable = [D for D in modes if models[D] is None]
+    if unfittable and len(grid) < 3:
+        sys.stderr.write(
+            f"no fitted correlation coefficients for D={unfittable[0]}, "
+            f"SNR={args.snr_db} dB and the sweep grid is too small "
+            f"to fit (< 3 points)\n"
+        )
+        return EXIT_NO_GAMMA
     rows = []
     for D in modes:
-        model = cache.lookup_gamma(D, args.snr_db)
         sim_vars = _oracle_variances(D, args.snr_db, grid, args.trials,
                                      args.seed, args.sections)
+        model = models[D]
         if model is None:
             # no table entry: fit on this sweep's own simulated variances
-            if len(grid) < 3:
-                sys.stderr.write(
-                    f"no fitted correlation coefficients for D={D}, "
-                    f"SNR={args.snr_db} dB and the sweep grid is too small "
-                    f"to fit (< 3 points)\n"
-                )
-                return EXIT_NO_GAMMA
             model = fitting.fit(D, args.snr_db, grid, sim_vars)
         for sigma, sim_var in zip(grid, sim_vars):
             var = _analytic_variance(model, sigma)

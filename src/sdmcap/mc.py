@@ -10,10 +10,21 @@ The trial kernel has two parts.  ``_haar_factors`` holds everything that
 does not depend on the per-section gain: the Philox draws, the batched QR
 with its R-diagonal phase fix, and the unit-variance log-gain draws.
 ``_section_gains`` scales and centres the gains, chains the sections and
-takes the spectrum.  Calibration builds the gain-independent part of its
-sample once and reuses it at every secant step; the memo holds at most one
-chunk budget of complex entries, and chunks beyond it are rebuilt on each
-step through the same function.  Trial runs call the same two parts.
+takes the spectrum.
+
+``run_ensembles`` is the one oracle path: it runs a grid of configs that
+differ only in sigma_mdg and SNR (same D, sections, seed, trials, frequency
+bins, power control and calibration settings) in one pass, and
+``run_ensemble`` is its one-config case.  The gain-independent part does
+not depend on sigma_mdg, so each chunk of it is built once for the whole
+grid (common random numbers across parameter values).  Calibration runs
+one secant per sigma in lockstep: each round is one pass over the shared
+calibration sample that measures every pending gain.  The leading chunks
+of that sample, at most one chunk budget of complex entries, are held for
+the whole calibration; chunks beyond it are rebuilt once per round, and
+the held ones are dropped before the trial pass.  The trial pass builds
+each chunk once and chains it at every sigma's calibrated gain.  Each
+result is bit-identical to a lone run of its config.
 
 Each chunk is cut into one contiguous trial range per CPU in the process's
 affinity mask; the caller runs the first range and a thread pool the
@@ -124,8 +135,8 @@ def _haar_factors(D: int, K: int, rngs):
 
     Returns the Haar unitaries (B, K, D, D), from the QR of each Ginibre
     block with the R-diagonal phase correction, and the unit log-gain draws
-    (B, K, D).  Neither depends on the per-section gain, so calibration
-    builds them once and reuses them at every secant step.
+    (B, K, D).  Neither depends on the per-section gain, so one build
+    serves every secant step and every sigma of a grid.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
@@ -169,13 +180,6 @@ def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
     if power_control == POWER_CONTROL_TRIAL:
         lam *= D / lam.sum(axis=-1, keepdims=True)
     return lam  # eigvalsh returns ascending order
-
-
-def _batch_gains(spec: ChannelSpec, K: int, g_db: float, rngs,
-                 power_control=POWER_CONTROL_ENSEMBLE):
-    """Draw and evaluate many (trial, bin) streams batched."""
-    return _section_gains(_haar_factors(spec.mode_count, K, rngs), g_db,
-                          power_control)
 
 
 def _chunked(n, size):
@@ -242,24 +246,29 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
     return [first, *(f.result() for f in others)]
 
 
-def measure_ensemble_std(spec: ChannelSpec, K: int, g_db: float, seed: int,
-                         trials: int, stream: int = _STREAM_CALIBRATION,
+def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials: int,
+                         stream: int = _STREAM_CALIBRATION,
                          power_control: str = POWER_CONTROL_ENSEMBLE,
-                         memo: dict | None = None) -> float:
-    """Std (dB) of the pooled lambda_dB ensemble over ``trials`` realizations
-    drawn from fixed streams, so repeated calls with the same seed see the
-    same underlying randomness.  The requested power control is applied
-    before measuring (the deterministic ensemble-level gain has no effect
-    on the std, so the ensemble mode measures the raw spectrum).  A
-    non-positive eigenvalue makes the result NaN.
+                         memo: dict | None = None) -> list:
+    """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
+    ``gains_db``, over ``trials`` realizations drawn from fixed streams, so
+    repeated calls with the same seed see the same underlying randomness.
 
-    ``memo`` is a dict the caller keeps across calls with the same spec, K,
+    One pass over the sample: each chunk's gain-independent factors are
+    built once and chained at every gain.  The requested power control is
+    applied before measuring (the deterministic ensemble-level gain has no
+    effect on the std, so the ensemble mode measures the raw spectrum).  A
+    gain of 0 measures exactly 0; a non-positive eigenvalue makes the
+    measurement NaN.
+
+    ``memo`` is a dict the caller keeps across calls with the same D, K,
     seed, trials and stream.  It keeps the gain-independent factors of the
     leading chunks, keyed by trial range, at most one chunk budget of
     complex entries in all; chunks beyond it are redrawn on every call."""
-    if g_db == 0.0:
-        return 0.0
-    D = spec.mode_count
+    stds = [0.0] * len(gains_db)
+    live = [i for i, g in enumerate(gains_db) if g != 0.0]
+    if not live:
+        return stds
     held = 0 if memo is None else sum(q.size for q, _ in memo.values())
 
     def piece(lo, hi):
@@ -267,52 +276,47 @@ def measure_ensemble_std(spec: ChannelSpec, K: int, g_db: float, seed: int,
         fresh = factors is None
         if fresh:
             factors = _haar_factors(D, K, [_rng(seed, stream, t) for t in range(lo, hi)])
-        lam = _section_gains(factors, g_db, power_control)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (lo, hi), factors if fresh else None, 10.0 * np.log10(lam)
+        pooled = []
+        for i in live:
+            lam = _section_gains(factors, gains_db[i], power_control)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pooled.append(10.0 * np.log10(lam))
+        return (lo, hi), factors if fresh else None, pooled
 
-    all_gains = []
+    all_gains = [[] for _ in live]  # per live gain, the pieces in trial order
     for lo, hi in _chunked(trials, _chunk_size(D, K, 1)):
         # whether this chunk is held is settled here, before its pieces run
         size = (hi - lo) * K * D * D
         keep = memo is not None and held + size <= _CHUNK_BUDGET
-        for key, fresh, gains_db in _map_pieces(piece, lo, hi):
+        for key, fresh, pooled in _map_pieces(piece, lo, hi):
             if keep and fresh is not None:
                 memo[key] = fresh
                 held += fresh[0].size
-            all_gains.append(gains_db)
-    pooled = np.concatenate(all_gains).ravel()
-    return float(pooled.std(ddof=1))
+            for gains, piece_gains in zip(all_gains, pooled):
+                gains.append(piece_gains)
+    for i, gains in zip(live, all_gains):
+        stds[i] = float(np.concatenate(gains).ravel().std(ddof=1))
+    return stds
 
 
-def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int,
-                           tol: float = 0.01, max_iter: int = 50,
-                           power_control: str = POWER_CONTROL_ENSEMBLE) -> float:
-    """Per-section log-gain std (dB) hitting the target ensemble sigma_mdg.
-
-    Secant iteration on the measured ensemble std with common random numbers
-    across iterations, so the objective is a deterministic smooth function
-    of the per-section gain.  The Haar factors and unit gain draws of the
-    calibration sample are built once, within the chunk budget, and reused
-    by every evaluation.
+def _secant(target: float, K: int, tol: float, max_iter: int):
+    """Secant iteration towards one target ensemble std, as a generator: it
+    yields each per-section gain to measure, is sent the measured std and
+    returns the calibrated gain.
 
     A gain so large that the spectrum loses positivity measures NaN; such a
     step is halved back towards the last gain with a finite measurement
     (g = 0, which measures exactly 0, before the first), and the secant
     continues from there."""
-    target = spec.sigma_mdg_db
     if target == 0.0:
         return 0.0
-
-    memo = {}  # gain-independent factors, shared by every secant step
     evals = 0
 
     def objective(g, g_finite):
         nonlocal evals
         for _ in range(max_iter):
             evals += 1
-            f = measure_ensemble_std(spec, K, g, seed, trials_cal,
-                                     power_control=power_control, memo=memo) - target
+            f = (yield g) - target
             if math.isfinite(f):
                 return g, f
             g = 0.5 * (g_finite + g)
@@ -320,8 +324,8 @@ def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int
             f"per-section gain calibration found no finite ensemble std "
             f"above {g_finite} dB in {evals} evaluations")
 
-    g0, f0 = objective(target / math.sqrt(K), 0.0)
-    g1, f1 = objective(1.3 * g0, g0)
+    g0, f0 = yield from objective(target / math.sqrt(K), 0.0)
+    g1, f1 = yield from objective(1.3 * g0, g0)
     if abs(f0) <= tol * target:
         return g0
     for _ in range(max_iter):
@@ -332,11 +336,46 @@ def calibrate_section_gain(spec: ChannelSpec, K: int, trials_cal: int, seed: int
             break
         g2 = max(1e-12, g1 - f1 * (g1 - g0) / denom)
         g0, f0 = g1, f1
-        g1, f1 = objective(g2, g1)
+        g1, f1 = yield from objective(g2, g1)
     raise CalibrationError(
         f"per-section gain calibration did not reach {tol:.3%} of "
         f"{target} dB in {evals} evaluations"
     )
+
+
+def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
+                           tol: float = 0.01, max_iter: int = 50,
+                           power_control: str = POWER_CONTROL_ENSEMBLE) -> list:
+    """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
+    in ``targets``, in order.
+
+    Each target runs its own secant on the measured ensemble std, with
+    common random numbers across iterations, so the objective is a
+    deterministic smooth function of the per-section gain.  The secants run
+    in lockstep: a round measures every pending gain in one pass over the
+    shared calibration sample, whose Haar factors and unit gain draws are
+    built once per call within the chunk budget and once per round beyond
+    it.  Each gain is the one a lone call for its target would return."""
+    secants = [_secant(t, K, tol, max_iter) for t in targets]
+    gains = [0.0] * len(secants)
+    pending = {}  # secant index -> gain it waits to have measured
+
+    def advance(i, std):
+        try:
+            pending[i] = secants[i].send(std)
+        except StopIteration as done:
+            pending.pop(i, None)
+            gains[i] = done.value
+
+    for i in range(len(secants)):
+        advance(i, None)
+    memo = {}  # gain-independent factors, shared by every round
+    while pending:
+        stds = measure_ensemble_std(D, K, list(pending.values()), seed, trials_cal,
+                                    power_control=power_control, memo=memo)
+        for i, std in zip(list(pending), stds):
+            advance(i, std)
+    return gains
 
 
 def empirical_correlation(cap_samples) -> np.ndarray:
@@ -365,54 +404,104 @@ def _histogram(values, bins):
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
-def run_ensemble(config: McConfig) -> McEnsembleResult:
-    """Full oracle run: calibrate, simulate all trials, aggregate.
+def _shared_settings(config: McConfig):
+    """What every config of one oracle pass must have in common."""
+    return (config.spec.mode_count, config.sections, config.seed, config.trials,
+            config.spec.freq_bins, config.power_control, config.calibration_trials,
+            config.calibration_tol)
+
+
+def run_ensembles(configs) -> list:
+    """Full oracle runs of a grid of configs: calibrate, simulate all trials,
+    aggregate; one ``McEnsembleResult`` per config, in order.
+
+    The configs may differ in sigma_mdg and SNR only; they must share D,
+    sections, seed, trials, frequency bins, power control and calibration
+    settings, else ``ValueError``.  The calibrations run in lockstep on one
+    calibration sample, and each trial chunk's gain-independent factors are
+    built once and chained at every config's calibrated gain, so each
+    result is bit-identical to a lone ``run_ensemble`` of its config.
 
     Per-trial randomness depends only on (seed, trial index, bin index), so
-    the result is bit-identical regardless of chunking or scheduling.  When
-    more than one frequency bin is requested, each trial averages the
+    the results are bit-identical regardless of chunking or scheduling.
+    When more than one frequency bin is requested, each trial averages the
     per-bin totals (and per-mode values) over independent channel draws.
     """
-    spec = config.spec
-    D = spec.mode_count
-    K = config.sections
-    N = spec.freq_bins
-    snr = spec.snr_linear
-    pc = config.power_control
+    configs = list(configs)
+    if not configs:
+        raise ValueError("run_ensembles needs at least one config")
+    first = configs[0]
+    if any(_shared_settings(c) != _shared_settings(first) for c in configs[1:]):
+        raise ValueError(
+            "configs of one oracle pass must share D, sections, seed, trials, "
+            "frequency bins, power control and calibration settings")
+    D = first.spec.mode_count
+    K = first.sections
+    N = first.spec.freq_bins
+    pc = first.power_control
 
-    g_db = calibrate_section_gain(spec, K, config.calibration_trials,
-                                  config.seed, config.calibration_tol,
-                                  power_control=pc)
+    gains = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
+                                   first.calibration_trials, first.seed,
+                                   first.calibration_tol, power_control=pc)
+    live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
+    lam_all = [np.ones((first.trials, N, D)) for _ in configs]
+    discarded = [[] for _ in configs]
 
-    lam_all = np.ones((config.trials, N, D))
-    discarded = []
+    def factors_of(keys):
+        return _haar_factors(D, K, [_rng(first.seed, _STREAM_TRIAL, t, b) for t, b in keys])
 
     def piece(lo, hi):
-        """Gains of trials [lo, hi) and the trials to discard: a (trial, bin)
-        whose eigendecomposition fails or whose spectrum is not positive and
-        finite."""
+        """Per live config, the gains of trials [lo, hi) and the trials to
+        discard: a (trial, bin) whose eigendecomposition fails or whose
+        spectrum is not positive and finite."""
         keys = [(t, b) for t in range(lo, hi) for b in range(N)]
         try:
-            lam = _batch_gains(spec, K, g_db, [_rng(config.seed, _STREAM_TRIAL, t, b)
-                                                for t, b in keys], pc)
+            batch = factors_of(keys)
         except np.linalg.LinAlgError:
-            # isolate failing draws one by one, each from a fresh stream
-            lam = np.full((len(keys), D), np.nan)
-            for row, (t, b) in enumerate(keys):
+            batch = None
+
+        def chained(g_db):
+            if batch is not None:
                 try:
-                    lam[row] = _batch_gains(spec, K, g_db,
-                                            [_rng(config.seed, _STREAM_TRIAL, t, b)], pc)[0]
+                    return _section_gains(batch, g_db, pc)
                 except np.linalg.LinAlgError:
                     pass
-        bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
-        return lam, [keys[row][0] for row in np.flatnonzero(bad)]
+            # isolate failing draws one by one, each from a fresh stream
+            lam = np.full((len(keys), D), np.nan)
+            for row, key in enumerate(keys):
+                try:
+                    lam[row] = _section_gains(factors_of([key]), g_db, pc)[0]
+                except np.linalg.LinAlgError:
+                    pass
+            return lam
 
-    if g_db != 0.0:
-        for lo, hi in _chunked(config.trials, _chunk_size(D, K, N)):
-            results = _map_pieces(piece, lo, hi)
-            lam_all[lo:hi] = np.concatenate([lam for lam, _ in results]).reshape(hi - lo, N, D)
-            discarded.extend(t for _, bad in results for t in bad)
+        results = []
+        for i in live:
+            lam = chained(gains[i])
+            bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
+            results.append((lam, [keys[row][0] for row in np.flatnonzero(bad)]))
+        return results
 
+    if live:
+        for lo, hi in _chunked(first.trials, _chunk_size(D, K, N)):
+            pieces = _map_pieces(piece, lo, hi)
+            for j, i in enumerate(live):
+                lam_all[i][lo:hi] = np.concatenate(
+                    [p[j][0] for p in pieces]).reshape(hi - lo, N, D)
+                discarded[i].extend(t for p in pieces for t in p[j][1])
+
+    return [_aggregate(*args) for args in zip(configs, gains, lam_all, discarded)]
+
+
+def run_ensemble(config: McConfig) -> McEnsembleResult:
+    """Full oracle run of one config: ``run_ensembles([config])[0]``."""
+    return run_ensembles([config])[0]
+
+
+def _aggregate(config: McConfig, g_db: float, lam_all, discarded) -> McEnsembleResult:
+    """The result of one config from its simulated gains (trials, bins, D)
+    and the trials to discard, at most 1 % of them."""
+    D = config.spec.mode_count
     if discarded:
         discarded = sorted(set(discarded))
         if len(discarded) > 0.01 * config.trials:
@@ -424,14 +513,14 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
         lam_all = lam_all[keep]
 
     shift_db = 0.0
-    if pc == POWER_CONTROL_ENSEMBLE and g_db != 0.0:
+    if config.power_control == POWER_CONTROL_ENSEMBLE and g_db != 0.0:
         # deterministic ensemble-level power control: unit mean linear gain
         mean_linear = float(lam_all.mean())
         lam_all /= mean_linear
         shift_db = -10.0 * math.log10(mean_linear)
 
     gains_bins = 10.0 * np.log10(lam_all)
-    cap_bins = np.log2(1.0 + snr * lam_all)
+    cap_bins = np.log2(1.0 + config.spec.snr_linear * lam_all)
     gains = gains_bins.mean(axis=1)
     caps = cap_bins.mean(axis=1)
     totals = cap_bins.sum(axis=2).mean(axis=1)

@@ -25,6 +25,7 @@ from sdmcap.mc import (
     POWER_CONTROL_TRIAL,
     result_to_json,
     run_ensemble,
+    run_ensembles,
 )
 from sdmcap.numerics import integrate
 
@@ -144,11 +145,9 @@ def test_criterion_08_analytic_vs_oracle_variance():
     start = time.perf_counter()
     sigma_grid = [2.5, 5.0, 7.5]
     for D in (4, 8, 12, 40):
-        oracle_vars = [
-            run_ensemble(McConfig(ChannelSpec(D, 10.0, s),
-                                  trials=1000, seed=5)).total_var
-            for s in sigma_grid
-        ]
+        oracle_vars = [r.total_var for r in run_ensembles(
+            [McConfig(ChannelSpec(D, 10.0, s), trials=1000, seed=5)
+             for s in sigma_grid])]
         model = fitting.fit(D, 10.0, sigma_grid, oracle_vars)
         for s, oracle_var in zip(sigma_grid, oracle_vars):
             a, b = total.variance_terms(
@@ -195,11 +194,9 @@ def test_criterion_10_total_capacity_gaussianity():
 
 def test_criterion_11_frequency_diversity():
     sigma_grid = [2.5, 5.0, 7.5]
-    oracle_vars = [
-        run_ensemble(McConfig(ChannelSpec(6, 10.0, s),
-                              trials=2000, seed=41)).total_var
-        for s in sigma_grid
-    ]
+    oracle_vars = [r.total_var for r in run_ensembles(
+        [McConfig(ChannelSpec(6, 10.0, s), trials=2000, seed=41)
+         for s in sigma_grid])]
     model = fitting.fit(6, 10.0, sigma_grid, oracle_vars)
     stats = per_mode_stats(CASE_SPEC)
     analytic = total.total_stats(stats, model, 5.0)

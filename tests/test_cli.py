@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap import cache, wigner
+from sdmcap import cache, cli, wigner
 from sdmcap.cli import build_parser, main
 from sdmcap.total import CorrelationModel
 
@@ -249,3 +249,13 @@ class TestSweep:
         code, _ = run_cli(capsys, "sweep", "--modes", "5", "--snr-db", "11",
                           "--sigma-grid", "1,2", "--trials", "50")
         assert code == 3
+
+    def test_missing_gamma_small_grid_exits_before_simulating(self, capsys, monkeypatch):
+        def no_oracle(configs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "run_ensembles", no_oracle)
+        code, out = run_cli(capsys, "sweep", "--modes", "5", "--snr-db", "11",
+                            "--sigma-grid", "1,2")
+        assert code == 3
+        assert out == ""

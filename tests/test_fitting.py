@@ -6,7 +6,7 @@ from sdmcap import fitting
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.errors import FitError
-from sdmcap.mc import McConfig, run_ensemble
+from sdmcap.mc import McConfig, run_ensembles
 from sdmcap.total import CorrelationModel, variance_terms
 
 GAMMA0 = 0.43513127
@@ -72,11 +72,8 @@ class TestFit:
         assert model.gamma1 > 0
 
     def test_idempotent_on_own_predictions(self):
-        spec_vars = []
-        oracle = []
-        for s in GRID:
-            config = McConfig(ChannelSpec(6, 10.0, s), trials=500, seed=12)
-            oracle.append(run_ensemble(config).total_var)
+        oracle = [r.total_var for r in run_ensembles(
+            [McConfig(ChannelSpec(6, 10.0, s), trials=500, seed=12) for s in GRID])]
         first = fitting.fit(6, 10.0, GRID, oracle)
         predictions = analytic_variances(6, 10.0, GRID,
                                          first.gamma0, first.gamma1)
@@ -86,11 +83,8 @@ class TestFit:
 
     def test_oracle_fit_quality_and_monotonicity(self):
         sigmas = [1.0, 2.5, 5.0]
-        oracle = [
-            run_ensemble(McConfig(ChannelSpec(6, 10.0, s), trials=1000,
-                                  seed=3)).total_var
-            for s in sigmas
-        ]
+        oracle = [r.total_var for r in run_ensembles(
+            [McConfig(ChannelSpec(6, 10.0, s), trials=1000, seed=3) for s in sigmas])]
         model = fitting.fit(6, 10.0, sigmas, oracle)
         fitted = analytic_variances(6, 10.0, sigmas,
                                     model.gamma0, model.gamma1)

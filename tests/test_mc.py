@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,6 +27,7 @@ from sdmcap.mc import (
     result_to_csv_rows,
     result_to_json,
     run_ensemble,
+    run_ensembles,
 )
 
 SPEC_D6 = ChannelSpec(6, 10.0, 5.0)
@@ -81,39 +83,39 @@ class TestHaarUnitary:
 
 class TestCalibration:
     def test_zero_target_gives_zero_gain(self):
-        assert calibrate_section_gain(ChannelSpec(6, 10.0, 0.0), 100, 50, 0) == 0.0
+        assert calibrate_section_gain(6, 100, [0.0], 50, 0) == [0.0]
 
     def test_hits_target_within_tolerance(self):
-        g = calibrate_section_gain(SPEC_D6, 100, 400, seed=1)
-        std = mc.measure_ensemble_std(SPEC_D6, 100, g, seed=1, trials=400)
+        [g] = calibrate_section_gain(6, 100, [5.0], 400, seed=1)
+        [std] = mc.measure_ensemble_std(6, 100, [g], seed=1, trials=400)
         assert 4.95 <= std <= 5.05
 
     def test_steps_back_from_a_nan_measurement(self, monkeypatch):
         # the objective crosses 20 dB between g = 1.6 (18.8 dB) and 1.8
         # (22.4 dB); the second secant point, g = 2.6, loses positivity of
         # the spectrum and measures NaN
-        spec = ChannelSpec(4, 10.0, 20.0)
         measured = []
         original = mc.measure_ensemble_std
 
         def spy(*args, **kwargs):
-            measured.append(original(*args, **kwargs))
-            return measured[-1]
+            stds = original(*args, **kwargs)
+            measured.extend(stds)
+            return stds
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
-        g = calibrate_section_gain(spec, 100, 400, seed=1)
+        [g] = calibrate_section_gain(4, 100, [20.0], 400, seed=1)
         assert any(math.isnan(v) for v in measured)
         assert abs(measured[-1] - 20.0) <= 0.01 * 20.0
-        assert measured[-1] == original(spec, 100, g, seed=1, trials=400)
+        assert measured[-1:] == original(4, 100, [g], seed=1, trials=400)
 
     def test_failure_reports_the_evaluations_made(self):
         # two starting points, then two secant steps
         with pytest.raises(CalibrationError, match=r"in 4 evaluations"):
-            calibrate_section_gain(SPEC_D6, 20, 40, seed=1, tol=1e-12, max_iter=2)
+            calibrate_section_gain(6, 20, [5.0], 40, seed=1, tol=1e-12, max_iter=2)
 
     def test_monotone_in_target(self):
         gains = [
-            calibrate_section_gain(ChannelSpec(6, 10.0, t), 100, 200, seed=1)
+            calibrate_section_gain(6, 100, [t], 200, seed=1)[0]
             for t in (2.0, 4.0, 6.0)
         ]
         assert gains[0] < gains[1] < gains[2]
@@ -177,9 +179,9 @@ class TestBitExactness:
             monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * 10 * K * D * D)
         memo = {}
         for g in (0.2, 0.45, 0.9):
-            memoised = mc.measure_ensemble_std(SPEC_D6, K, g, seed=4, trials=45,
+            memoised = mc.measure_ensemble_std(D, K, [g], seed=4, trials=45,
                                                memo=memo)
-            assert memoised == mc.measure_ensemble_std(SPEC_D6, K, g, seed=4,
+            assert memoised == mc.measure_ensemble_std(D, K, [g], seed=4,
                                                        trials=45)
         held = 45 if budget_chunks is None else budget_chunks * 10
         assert _held_trials(memo) == list(range(held))
@@ -190,6 +192,128 @@ class TestBitExactness:
         self.test_d20_k5()
         self.test_d6_k100_trial_power_control()
         self.test_memo_budget_exceeded(monkeypatch)
+
+
+def _grid(case, sigmas=(2.5, 5.0, 7.5)):
+    """The configs of one digest case over a sigma grid."""
+    if case == "d20_k5":
+        return [McConfig(ChannelSpec(20, 10.0, s), sections=5, trials=200, seed=1)
+                for s in sigmas]
+    if case == "d6_k100_trial_2_bins":
+        return [McConfig(ChannelSpec(6, 10.0, s, freq_bins=2), sections=100,
+                         trials=100, seed=3, power_control=POWER_CONTROL_TRIAL)
+                for s in sigmas]
+    return [McConfig(ChannelSpec(4, 10.0, s), sections=100, trials=150, seed=5)
+            for s in sigmas]
+
+
+def _rebuilt_chunks(monkeypatch, D=4, K=100):
+    """7-trial chunks and a memo of three of them: the other 55 chunks of a
+    400-trial calibration sample are rebuilt every round."""
+    monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 7)
+    monkeypatch.setattr(mc, "_CHUNK_BUDGET", 3 * 7 * K * D * D)
+
+
+class TestRunEnsembles:
+    """One oracle pass over a sigma grid equals a lone run of each member."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["d20_k5", "d6_k100_trial_2_bins",
+                                      "d4_k100_rebuilt_chunks"])
+    def test_each_member_equals_a_lone_run(self, monkeypatch, case, workers):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        if case == "d4_k100_rebuilt_chunks":
+            _rebuilt_chunks(monkeypatch)
+        configs = _grid(case)
+        lone = [_sha256(run_ensemble(c)) for c in configs]
+        assert [_sha256(r) for r in run_ensembles(configs)] == lone
+
+    def test_each_chunk_is_factored_once_per_round_for_the_whole_grid(self, monkeypatch):
+        D, K, cal_trials, trials, chunk, held = 6, 20, 40, 30, 10, 2
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: chunk)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", held * chunk * K * D * D)
+        sigmas = (2.5, 5.0, 7.5)
+        factored = []  # trials factored per calibration round, then by the trial pass
+        original_measure = mc.measure_ensemble_std
+        original_calibrate = mc.calibrate_section_gain
+        original_qr = np.linalg.qr
+
+        def counted_measure(*args, **kwargs):
+            factored.append(0)
+            return original_measure(*args, **kwargs)
+
+        def calibrate_then_count_the_trial_pass(*args, **kwargs):
+            gains = original_calibrate(*args, **kwargs)
+            factored.append(0)
+            return gains
+
+        def counted_qr(a, *args, **kwargs):
+            factored[-1] += a.shape[0]
+            return original_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        lone_rounds = []
+        for s in sigmas:
+            factored.clear()
+            mc.calibrate_section_gain(D, K, [s], cal_trials, seed=1)
+            lone_rounds.append(len(factored))
+        factored.clear()
+        monkeypatch.setattr(mc, "calibrate_section_gain",
+                            calibrate_then_count_the_trial_pass)
+        run_ensembles([McConfig(ChannelSpec(D, 10.0, s), sections=K, trials=trials,
+                                seed=1, calibration_trials=cal_trials)
+                       for s in sigmas])
+        rounds = len(factored) - 1
+        assert rounds == max(lone_rounds) >= 2 and len(set(lone_rounds)) > 1
+        rebuilt = cal_trials - held * chunk
+        assert factored == [cal_trials] + [rebuilt] * (rounds - 1) + [trials]
+
+    @pytest.mark.parametrize("change", [
+        {"spec": ChannelSpec(4, 10.0, 5.0)},
+        {"spec": ChannelSpec(6, 10.0, 5.0, freq_bins=2)},
+        {"sections": 21}, {"seed": 1}, {"trials": 11},
+        {"power_control": POWER_CONTROL_TRIAL},
+        {"calibration_trials": 41}, {"calibration_tol": 0.02},
+    ], ids=lambda change: next(iter(change)))
+    def test_members_must_share_their_settings(self, change):
+        base = McConfig(SPEC_D6, sections=20, trials=10, calibration_trials=40)
+        with pytest.raises(ValueError, match="must share"):
+            run_ensembles([base, dataclasses.replace(base, **change)])
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError):
+            run_ensembles([])
+
+    def test_zero_sigma_and_another_snr_in_one_pass(self):
+        configs = [McConfig(ChannelSpec(4, snr, s), sections=20, trials=40, seed=2)
+                   for snr, s in ((10.0, 0.0), (20.0, 5.0), (10.0, 5.0))]
+        results = run_ensembles(configs)
+        assert results[0].section_gain_db == 0.0 and results[0].total_var == 0.0
+        assert [_sha256(r) for r in results] == [_sha256(run_ensemble(c))
+                                                 for c in configs]
+
+    def test_a_nan_step_does_not_disturb_its_neighbour(self, monkeypatch):
+        # the 20 dB secant measures NaN at its second point (see
+        # TestCalibration) while the 5 dB one converges without
+        configs = [McConfig(ChannelSpec(4, 10.0, s), sections=100, trials=20, seed=1)
+                   for s in (20.0, 5.0)]
+        lone = [calibrate_section_gain(4, 100, [s], 400, seed=1)[0] for s in (20.0, 5.0)]
+        measured = []
+        original = mc.measure_ensemble_std
+
+        def spy(*args, **kwargs):
+            stds = original(*args, **kwargs)
+            measured.extend(stds)
+            return stds
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", spy)
+        results = run_ensembles(configs)
+        assert any(math.isnan(v) for v in measured)
+        assert [r.section_gain_db for r in results] == lone
+        monkeypatch.undo()
+        assert [_sha256(r) for r in results] == [_sha256(run_ensemble(c))
+                                                 for c in configs]
 
 
 class TestMapPieces:
@@ -285,7 +409,7 @@ class TestCalibrationMemo:
 
         monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        calibrate_section_gain(SPEC_D6, K, trials, seed=1)
+        calibrate_section_gain(D, K, [5.0], trials, seed=1)
         n = len(factored)
         assert n >= 2
         if budget_chunks is None:
@@ -297,8 +421,7 @@ class TestCalibrationMemo:
     def test_memo_holds_at_most_one_chunk_budget(self):
         # D = 40, K = 100: 25 trials fill the budget; the 26th is rebuilt
         memo = {}
-        spec = ChannelSpec(40, 10.0, 5.0)
-        mc.measure_ensemble_std(spec, 100, 0.5, seed=0, trials=26, memo=memo)
+        mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=26, memo=memo)
         held = sum(q.size for q, _ in memo.values())
         assert _held_trials(memo) == list(range(25))
         assert held == 25 * 100 * 40 * 40 <= mc._CHUNK_BUDGET
@@ -306,17 +429,19 @@ class TestCalibrationMemo:
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
         memo = {}
-        mc.measure_ensemble_std(SPEC_D6, 20, 0.5, seed=0, trials=3, memo=memo)
+        mc.measure_ensemble_std(6, 20, [0.5], seed=0, trials=3, memo=memo)
         assert memo == {}
 
 
 def _trial_gains(K, g_db, trial, power_control=POWER_CONTROL_TRIAL):
     """Sorted linear gains of one trial stream of the D = 6 case study."""
-    return mc._batch_gains(SPEC_D6, K, g_db, [mc._rng(0, 0, trial)], power_control)[0]
+    factors = mc._haar_factors(6, K, [mc._rng(0, 0, trial)])
+    return mc._section_gains(factors, g_db, power_control)[0]
 
 
 class TestRunTrial:
-    """Single realizations: ``_batch_gains`` on one trial stream."""
+    """Single realizations: ``_haar_factors`` and ``_section_gains`` on one
+    trial stream."""
 
     def test_trial_power_control_pins_linear_sum(self):
         assert abs(_trial_gains(100, 0.5, 0).sum() - 6.0) < 1e-9
@@ -405,19 +530,19 @@ class TestRunEnsemble:
 
     def test_single_bad_draw_is_discarded(self, monkeypatch):
         monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: 0.5)
-        original = mc._batch_gains
+                            lambda *a, **k: [0.5])
+        original = mc._haar_factors
         state = {"rows": 0}
 
-        def flaky(spec, K, g_db, rngs, power_control=POWER_CONTROL_ENSEMBLE):
+        def flaky(D, K, rngs):
             if len(rngs) > 1:
                 raise np.linalg.LinAlgError("batch failure")
             state["rows"] += 1
             if state["rows"] == 3:
                 raise np.linalg.LinAlgError("row failure")
-            return original(spec, K, g_db, rngs, power_control)
+            return original(D, K, rngs)
 
-        monkeypatch.setattr(mc, "_batch_gains", flaky)
+        monkeypatch.setattr(mc, "_haar_factors", flaky)
         res = run_ensemble(McConfig(SPEC_D6, trials=300, seed=2))
         assert res.discarded_trials == 1
         assert len(res.total_samples) == 299
@@ -425,7 +550,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
     def test_non_positive_spectrum_is_discarded(self, monkeypatch, bad):
         monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: 0.5)
+                            lambda *a, **k: [0.5])
         original = mc._gains_from_channels
         calls = itertools.count()
 
@@ -443,7 +568,7 @@ class TestRunEnsemble:
 
     def test_non_positive_spectra_beyond_one_percent_raise(self, monkeypatch):
         monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: 0.5)
+                            lambda *a, **k: [0.5])
         original = mc._gains_from_channels
 
         def all_bad(h, D, power_control=POWER_CONTROL_ENSEMBLE):
@@ -457,12 +582,12 @@ class TestRunEnsemble:
 
     def test_too_many_discards_raise(self, monkeypatch):
         monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: 0.5)
+                            lambda *a, **k: [0.5])
 
-        def broken(spec, K, g_db, rngs, power_control=POWER_CONTROL_ENSEMBLE):
+        def broken(D, K, rngs):
             raise np.linalg.LinAlgError("always")
 
-        monkeypatch.setattr(mc, "_batch_gains", broken)
+        monkeypatch.setattr(mc, "_haar_factors", broken)
         with pytest.raises(EnsembleError):
             run_ensemble(McConfig(SPEC_D6, trials=50, seed=2))
 
@@ -487,6 +612,30 @@ class TestRunEnsembleProperties:
         json.loads(result_to_json(res), parse_constant=_reject_non_finite)
         assert np.isfinite(res.gain_samples).all()
         assert np.isfinite(res.cap_samples).all()
+
+
+class TestRunEnsemblesProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(2, 8), sigmas=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4),
+           K=st.integers(1, 6), trials=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1),
+           pc=st.sampled_from([POWER_CONTROL_ENSEMBLE, POWER_CONTROL_TRIAL]))
+    def test_grid_equals_lone_runs(self, D, sigmas, K, trials, seed, pc):
+        configs = [McConfig(ChannelSpec(D, 10.0, s), sections=K, trials=trials,
+                            seed=seed, calibration_trials=40, power_control=pc)
+                   for s in sigmas]
+        lone = []
+        for config in configs:
+            try:
+                lone.append(result_to_json(run_ensemble(config)))
+            except SdmCapError as exc:
+                lone.append(type(exc))
+        try:
+            grid = [result_to_json(r) for r in run_ensembles(configs)]
+        except SdmCapError as exc:
+            assert type(exc) in lone  # the error a lone run of a member raises
+            return
+        assert grid == lone
 
 
 class TestSerialization:
