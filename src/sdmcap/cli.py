@@ -216,7 +216,7 @@ def cmd_fit(args) -> int:
     model = fitting.fit(args.modes, args.snr_db, grid, oracle_vars)
     cache.store_gamma(model)
 
-    analytic_vars = [_analytic_variance(model, sigma) for sigma in grid]
+    analytic_vars = list(model.grid_variances)
     payload = {
         "schema": 1,
         "mode_count": args.modes,
@@ -251,9 +251,10 @@ def cmd_sweep(args) -> int:
         model = models[D]
         if model is None:
             # no table entry: fit on this sweep's own simulated variances
-            model = fitting.fit(D, args.snr_db, grid, sim_vars)
-        for sigma, sim_var in zip(grid, sim_vars):
-            var = _analytic_variance(model, sigma)
+            analytic_vars = fitting.fit(D, args.snr_db, grid, sim_vars).grid_variances
+        else:
+            analytic_vars = [_analytic_variance(model, sigma) for sigma in grid]
+        for sigma, var, sim_var in zip(grid, analytic_vars, sim_vars):
             rows.append({
                 "mode_count": D,
                 "snr_db": args.snr_db,

@@ -14,7 +14,7 @@ monotonically increasing in sigma_mdg.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 from .capacity import per_mode_stats
 from .channel import ChannelSpec
@@ -25,6 +25,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 GAMMA1_MAGNITUDE = 1e-2
 MAX_ITERATIONS = 10_000
+
+
+@dataclass(frozen=True)
+class FittedModel(CorrelationModel):
+    """A ``CorrelationModel`` from ``fit``, with its analytic total-capacity
+    variance at each grid sigma, as the fit evaluated them."""
+
+    grid_variances: tuple = ()
 
 
 def msle(analytic_vars, oracle_vars) -> float:
@@ -41,15 +49,15 @@ def msle(analytic_vars, oracle_vars) -> float:
     return acc / len(analytic_vars)
 
 
-def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> CorrelationModel:
+def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> FittedModel:
     """Fit (gamma0, gamma1) to simulated total-capacity variances.
 
     ``sigma_grid`` must be ascending with at least three points; its
     smallest value anchors gamma0 (the gamma1 term is assumed negligible
     there only in the sense that the anchor equation is re-solved for each
     gamma1 candidate, so the smallest-sigma variance is always matched
-    exactly).  Raises FitError carrying the best candidate if no
-    monotonically increasing fit exists.
+    exactly).  Returns a ``FittedModel``.  Raises FitError carrying the
+    best candidate if no monotonically increasing fit exists.
     """
     sigma_grid = [float(s) for s in sigma_grid]
     oracle_vars = [float(v) for v in oracle_vars]
@@ -121,6 +129,10 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> CorrelationModel:
         vars_ = model_vars(candidate, check_sigmas, check_terms)
         return all(v2 > v1 for v1, v2 in zip(vars_, vars_[1:]))
 
+    def fitted(candidate) -> FittedModel:
+        return FittedModel(**asdict(candidate), grid_variances=tuple(
+            model_vars(candidate, sigma_grid, terms)))
+
     if not is_monotone(model):
         # small downward corrections to gamma0: B < 0 grows in magnitude
         # with sigma, so lowering gamma0 steepens the variance curve
@@ -129,10 +141,10 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> CorrelationModel:
         for _ in range(MAX_ITERATIONS - iterations):
             candidate = replace(candidate, gamma0=candidate.gamma0 - step)
             if is_monotone(candidate):
-                return candidate
+                return fitted(candidate)
         raise FitError(
             "fitted variance curve is not monotonically increasing in "
             "sigma_mdg and gamma0 corrections did not restore it",
             best_candidate=model,
         )
-    return model
+    return fitted(model)

@@ -18,11 +18,14 @@ bins, power control and calibration settings) in one pass, and
 ``run_ensemble`` is its one-config case.  The gain-independent part does
 not depend on sigma_mdg, so each chunk of it is built once for the whole
 grid (common random numbers across parameter values).  Calibration runs
-one secant per sigma in lockstep: each round is one pass over the shared
-calibration sample that measures every pending gain.  The leading chunks
-of that sample, at most one chunk budget of complex entries, are held for
-the whole calibration; chunks beyond it are rebuilt once per round, and
-the held ones are dropped before the trial pass.  The trial pass builds
+one iteration per sigma in lockstep: each round is one pass over the shared
+calibration sample that measures every pending gain.  Each iteration starts
+from the gain that the accumulated-MDG relation gives, so a sigma whose
+seed measures within tolerance takes one round; the others take a log-log
+Newton step and then secant steps.  The leading chunks of that sample, at
+most one chunk budget of complex entries, are held for the whole
+calibration; chunks beyond it are rebuilt once per round, and the held
+ones are dropped before the trial pass.  The trial pass builds
 each chunk once and chains it at every sigma's calibrated gain.  Each
 result is bit-identical to a lone run of its config.
 
@@ -159,12 +162,12 @@ def _section_gains(factors, g_db: float, power_control=POWER_CONTROL_ENSEMBLE):
     over the K sections.  Then chains the K sections and takes the spectrum.
     """
     q, unit = factors
-    B, K, D, _ = q.shape
+    K, D = q.shape[1:3]
     gains_db = unit * g_db
     gains_db -= gains_db.mean(axis=-1, keepdims=True)
     amp = 10.0 ** (gains_db / 20.0)  # field amplitude for a power gain in dB
-    h = np.broadcast_to(np.eye(D, dtype=complex), (B, D, D)).copy()
-    for k in range(K):
+    h = q[:, 0] * amp[:, 0, None, :]
+    for k in range(1, K):
         h = (q[:, k] * amp[:, k, None, :]) @ h
     return _gains_from_channels(h, D, power_control)
 
@@ -299,15 +302,35 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials: int,
     return stds
 
 
-def _secant(target: float, K: int, tol: float, max_iter: int):
-    """Secant iteration towards one target ensemble std, as a generator: it
+def _seed(target: float, D: int, K: int) -> tuple:
+    """Model seed for one target ensemble std: the per-section gain g0 and
+    the model's elasticity d ln(sigma) / d ln(g) there.
+
+    The accumulated-MDG relation sigma = xi * sqrt(1 + c xi^2), with
+    c = (ln 10 / 10)^2 (1 - 1/D^2) / 12 dB^-2 (Ho & Kahn, Opt. Express
+    19(17), 2011), is inverted in a form that neither cancels nor
+    underflows for tiny sigma, and xi is split over K traceless sections,
+    each of per-mode variance g^2 (1 - 1/D)."""
+    c = (math.log(10.0) / 10.0) ** 2 * (1.0 - 1.0 / D**2) / 12.0
+    xi = target * math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * c * target**2)))
+    cx2 = c * xi**2
+    return xi / math.sqrt(K * (1.0 - 1.0 / D)), 1.0 + cx2 / (1.0 + cx2)
+
+
+def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
+    """Calibration towards one target ensemble std, as a generator: it
     yields each per-section gain to measure, is sent the measured std and
     returns the calibrated gain.
 
-    A gain so large that the spectrum loses positivity measures NaN; such a
-    step is halved back towards the last gain with a finite measurement
-    (g = 0, which measures exactly 0, before the first), and the secant
-    continues from there."""
+    The first gain is the model seed (``_seed``); if it measures within
+    ``tol`` of the target it is returned after that one evaluation.  The
+    second is a log-log Newton step from it with the model's elasticity,
+    and a secant continues from the two.  A gain so large that the
+    spectrum loses positivity measures NaN; such a step is halved back
+    towards the last gain with a finite measurement (g = 0, which measures
+    exactly 0, before the first), and the iteration continues from there.
+    A seed that measures exactly 0 (a gain lost to underflow) ends in
+    ``CalibrationError``."""
     if target == 0.0:
         return 0.0
     evals = 0
@@ -324,19 +347,22 @@ def _secant(target: float, K: int, tol: float, max_iter: int):
             f"per-section gain calibration found no finite ensemble std "
             f"above {g_finite} dB in {evals} evaluations")
 
-    g0, f0 = yield from objective(target / math.sqrt(K), 0.0)
-    g1, f1 = yield from objective(1.3 * g0, g0)
+    seed, elasticity = _seed(target, D, K)
+    g0, f0 = yield from objective(seed, 0.0)
     if abs(f0) <= tol * target:
         return g0
-    for _ in range(max_iter):
-        if abs(f1) <= tol * target:
-            return g1
-        denom = f1 - f0
-        if denom == 0.0:
-            break
-        g2 = max(1e-12, g1 - f1 * (g1 - g0) / denom)
-        g0, f0 = g1, f1
-        g1, f1 = yield from objective(g2, g1)
+    std0 = target + f0
+    if std0 > 0.0:
+        g1, f1 = yield from objective(g0 * (target / std0) ** (1.0 / elasticity), g0)
+        for _ in range(max_iter):
+            if abs(f1) <= tol * target:
+                return g1
+            denom = f1 - f0
+            if denom == 0.0:
+                break
+            g2 = max(1e-12, g1 - f1 * (g1 - g0) / denom)
+            g0, f0 = g1, f1
+            g1, f1 = yield from objective(g2, g1)
     raise CalibrationError(
         f"per-section gain calibration did not reach {tol:.3%} of "
         f"{target} dB in {evals} evaluations"
@@ -349,14 +375,16 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
     in ``targets``, in order.
 
-    Each target runs its own secant on the measured ensemble std, with
-    common random numbers across iterations, so the objective is a
-    deterministic smooth function of the per-section gain.  The secants run
-    in lockstep: a round measures every pending gain in one pass over the
-    shared calibration sample, whose Haar factors and unit gain draws are
-    built once per call within the chunk budget and once per round beyond
-    it.  Each gain is the one a lone call for its target would return."""
-    secants = [_secant(t, K, tol, max_iter) for t in targets]
+    Each target runs its own iteration (``_secant``) on the measured
+    ensemble std: the model seed for D and K, returned if it measures within
+    ``tol``, else a log-log Newton step and secant steps.  Common random
+    numbers across iterations make the objective a deterministic smooth
+    function of the per-section gain.  The iterations run in lockstep: a
+    round measures every pending gain in one pass over the shared
+    calibration sample, whose Haar factors and unit gain draws are built
+    once per call within the chunk budget and once per round beyond it.
+    Each gain is the one a lone call for its target would return."""
+    secants = [_secant(t, D, K, tol, max_iter) for t in targets]
     gains = [0.0] * len(secants)
     pending = {}  # secant index -> gain it waits to have measured
 

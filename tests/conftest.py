@@ -1,4 +1,12 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a property
+# test cannot flake CI; local runs keep exploring new examples
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

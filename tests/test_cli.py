@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap import cache, cli, wigner
+from sdmcap import cache, cli, fitting, wigner
 from sdmcap.cli import build_parser, main
 from sdmcap.total import CorrelationModel
 
@@ -231,6 +231,31 @@ class TestFitCommand:
         stored = cache.lookup_gamma(4, 10.0)
         assert stored is not None
         assert stored.gamma0 == pytest.approx(payload["gamma0"], abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--modes", "4", "--sigma-grid", "1,2.5,5", *_ORACLE_ARGS],
+        ["sweep", "--modes", "5", "--sigma-grid", "1,2.5,5", *_ORACLE_ARGS],
+    ], ids=lambda argv: argv[0])
+    def test_per_mode_stats_once_per_fitted_sigma(self, capsys, monkeypatch, argv):
+        # the fit evaluates the 3 grid points and 2 midpoints; the report
+        # reuses its grid variances instead of evaluating the grid again
+        calls = []
+        for module in (cli, fitting):
+            def counted(spec, *args, original=module.per_mode_stats, **kwargs):
+                calls.append(spec.sigma_mdg_db)
+                return original(spec, *args, **kwargs)
+
+            monkeypatch.setattr(module, "per_mode_stats", counted)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert sorted(calls) == [1.0, 1.75, 2.5, 3.75, 5.0]
+        if argv[0] == "fit":
+            payload = json.loads(out)
+            model = CorrelationModel(payload["gamma0"], payload["gamma1"], D=4,
+                                     snr_db=10.0)
+            monkeypatch.undo()
+            assert payload["analytic_variances"] == [
+                cli._analytic_variance(model, s) for s in (1.0, 2.5, 5.0)]
 
 
 class TestSweep:
