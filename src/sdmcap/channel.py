@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -10,8 +11,8 @@ class ChannelSpec:
     """Strongly-coupled SDM link parameters.
 
     mode_count     -- number of spatial/polarization modes D (>= 2)
-    snr_db         -- total-signal to total-noise ratio, decibels
-    sigma_mdg_db   -- std of the log-scale modal gains, decibels (>= 0)
+    snr_db         -- total-signal to total-noise ratio, decibels (finite)
+    sigma_mdg_db   -- std of the log-scale modal gains, decibels (finite, >= 0)
     freq_bins      -- independent narrowband frequency bins N (>= 1)
     """
 
@@ -23,8 +24,11 @@ class ChannelSpec:
     def __post_init__(self):
         if self.mode_count < 2:
             raise ValueError("mode_count must be >= 2")
-        if self.sigma_mdg_db < 0:
-            raise ValueError("sigma_mdg_db must be >= 0")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, not {self.snr_db}")
+        if not 0 <= self.sigma_mdg_db < math.inf:
+            raise ValueError(
+                f"sigma_mdg_db must be finite and >= 0, not {self.sigma_mdg_db}")
         if self.freq_bins < 1:
             raise ValueError("freq_bins must be >= 1")
 

@@ -15,6 +15,7 @@ simulation failure, 5 fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -57,6 +58,8 @@ def _parse_sigma_grid(text: str):
         if len(parts) != 3:
             raise ValueError("range grid must be lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError("range grid must have finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ValueError("range grid must have step > 0 and hi >= lo")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -86,22 +89,54 @@ def _write(text: str, args) -> None:
             fh.write(text)
 
 
+def _compact_json(value) -> str:
+    # as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _toeplitz_json(matrix: total.ToeplitzRows) -> str:
+    """``_compact_json(matrix)``, built from the JSON texts of its D lags."""
+    # no JSON number text (nor NaN, Infinity) holds a comma
+    texts = _compact_json(matrix.lags)[1:-1].split(",") if matrix.lags else []
+    return "[" + ",".join("[" + ",".join(row) + "]"
+                          for row in total.ToeplitzRows.rows(texts)) + "]"
+
+
+def _json_report(payload: dict) -> str:
+    """``_compact_json(payload)``, byte for byte, with each top-level Toeplitz
+    matrix written from its lags and the keys between them in one call."""
+    parts, run = [], {}
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, total.ToeplitzRows):
+            parts.append(_compact_json(run)[1:-1])
+            parts.append(f"{json.dumps(key)}:{_toeplitz_json(value)}")
+            run = {}
+        else:
+            run[key] = value
+    parts.append(_compact_json(run)[1:-1])
+    return "{" + ",".join(part for part in parts if part) + "}"
+
+
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        # as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _json_report(payload) + "\n"
     else:
         text = "".join(line + "\n" for line in _flatten(payload))
     _write(text, args)
 
 
 def _gamma_model(args, spec: ChannelSpec):
+    if args.gamma:
+        gamma = [float(p) for p in args.gamma.split(",")]
+        if len(gamma) != 2 or not all(map(math.isfinite, gamma)):
+            raise ValueError(
+                f"--gamma must be two finite numbers G0,G1, not {args.gamma}")
     if spec.sigma_mdg_db == 0:
         return CorrelationModel(gamma0=0.0, gamma1=0.0, D=spec.mode_count,
                                 snr_db=spec.snr_db)
     if args.gamma:
-        g0, g1 = (float(p) for p in args.gamma.split(","))
-        return CorrelationModel(gamma0=g0, gamma1=g1, D=spec.mode_count,
+        return CorrelationModel(gamma0=gamma[0], gamma1=gamma[1], D=spec.mode_count,
                                 snr_db=spec.snr_db)
     return cache.lookup_gamma(spec.mode_count, spec.snr_db)
 
@@ -359,9 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use (parsing never changes it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UnsupportedOrderError, CorrelationRangeError, DegenerateDistributionError,

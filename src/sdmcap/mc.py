@@ -297,8 +297,10 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials: int,
                 held += fresh[0].size
             for gains, piece_gains in zip(all_gains, pooled):
                 gains.append(piece_gains)
-    for i, gains in zip(live, all_gains):
-        stds[i] = float(np.concatenate(gains).ravel().std(ddof=1))
+    # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
+    with np.errstate(invalid="ignore"):
+        for i, gains in zip(live, all_gains):
+            stds[i] = float(np.concatenate(gains).ravel().std(ddof=1))
     return stds
 
 

@@ -56,11 +56,29 @@ def correlation(i: int, j: int, sigma_mdg_db: float,
     return decay + (decay - 1.0) * model.combined_coefficient(sigma_mdg_db)
 
 
-def correlation_matrix(D: int, sigma_mdg_db: float, model: CorrelationModel):
+class ToeplitzRows(list):
+    """The rows of the symmetric Toeplitz matrix whose entry (i, j) is
+    ``lags[|i - j|]``; ``lags`` (its first row) stays attached, so a writer
+    can encode the D distinct values once instead of all D^2 entries."""
+
+    def __init__(self, lags: list):
+        super().__init__(self.rows(lags))
+        self.lags = lags
+
+    @staticmethod
+    def rows(lags: list):
+        """Row i is ``lags[i], ..., lags[1], lags[0], ..., lags[D - 1 - i]``,
+        of the very objects in ``lags``."""
+        D = len(lags)
+        return (lags[i:0:-1] + lags[:D - i] for i in range(D))
+
+
+def correlation_matrix(D: int, sigma_mdg_db: float,
+                       model: CorrelationModel) -> ToeplitzRows:
     """D x D ``correlation`` matrix, evaluated once per lag |i - j|, on which
     alone it depends."""
-    rho = [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
-    return [[rho[abs(i - j)] for j in range(D)] for i in range(D)]
+    return ToeplitzRows([correlation(1, 1 + d, sigma_mdg_db, model)
+                         for d in range(D)])
 
 
 def variance_terms(cap_sigmas) -> tuple:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap import cache, cli, fitting, wigner
+from sdmcap import cache, cli, fitting, total, wigner
 from sdmcap.cli import build_parser, main
 from sdmcap.total import CorrelationModel
 
@@ -100,6 +101,108 @@ class TestAnalytic:
         code, _ = run_cli(capsys, "analytic", "--modes", "12", "--snr-db", "10",
                           "--sigma-mdg-db", "5", "--gamma", "0.3,0")
         assert code == 2
+
+
+class TestNonFiniteInputs:
+    FINITE = {"--snr-db": "10", "--sigma-mdg-db": "5", "--gamma": "0,0"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", list(FINITE))
+    def test_is_exit_2_with_no_report(self, capsys, flag, value):
+        args = {**self.FINITE, flag: f"{value},0" if flag == "--gamma" else value}
+        code, out = run_cli(capsys, "analytic", "--modes", "4",
+                            *(f"{k}={v}" for k, v in args.items()))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("gamma", ["nan,0", "0.3", "0,0,0", "g0,g1"])
+    def test_gamma_is_checked_at_zero_sigma_too(self, capsys, gamma):
+        code, out = run_cli(capsys, "analytic", "--modes", "4", "--snr-db", "10",
+                            "--sigma-mdg-db", "0", "--gamma", gamma)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:5:1", "1:5:nan"])
+    def test_range_grid_is_exit_2(self, capsys, grid):
+        code, out = run_cli(capsys, "fit", "--modes", "4", "--snr-db", "10",
+                            f"--sigma-grid={grid}")
+        assert code == 2
+        assert out == ""
+
+
+# stdout SHA-256 of `analytic --modes D --snr-db 10 --sigma-mdg-db 5 --gamma -0.1,0`
+# as the report was written when it encoded every matrix entry with json.dumps
+_FROZEN_REPORT_SHA256 = {
+    (2, "json"): "7c2170f78d1e24443590e06242d04d96e95ff9c65195dba29e0f9a5e76cd4a8d",
+    (2, "csv"): "f96b777c38433d6ff939047d4ac4fa277bc978487e2e05ecc309ca8f09ed4510",
+    (6, "json"): "1cb7662ae4b32910307f0da51f1417559c9fff200524b22700e06afbbfd39b9b",
+    (6, "csv"): "9a5243484c93180a7c32c2cd03fc6dfe70a71c3bbfaa40d3bd21465fb1c7f5e4",
+    (40, "json"): "5505f1ec99cc9485b5d719deca97cf4d10a8b5761d8dd06da5470ef42f5bba0b",
+    (40, "csv"): "a3a5760f58de9f128a923165635f152bf5591ef2b8104f61fa7f0ad7961320d9",
+    (100, "json"): "46968498763a3a1ee4b435c786441b5f071b29c65d787daf9f9b16659530f05b",
+    (100, "csv"): "bcb58a499a38b30577f37cdeedb131dcadce52cf855c2bebe706d3e0aabe9ea7",
+}
+
+
+def _report(capsys, D, fmt="json"):
+    return run_cli(capsys, "analytic", "--modes", str(D), "--snr-db", "10",
+                   "--sigma-mdg-db", "5", "--gamma", "-0.1,0", "--format", fmt)
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize("D, fmt", list(_FROZEN_REPORT_SHA256))
+    def test_stdout_is_frozen(self, capsys, D, fmt):
+        code, out = _report(capsys, D, fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _FROZEN_REPORT_SHA256[D, fmt]
+
+    @pytest.mark.parametrize("D", [2, 6, 40, 100])
+    def test_json_is_the_compact_sorted_dump(self, capsys, D):
+        code, out = _report(capsys, D)
+        assert code == 0
+        payload = json.loads(out)
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out
+        lags = payload["cap_correlation"][0]
+        assert payload["cap_correlation"] == [[lags[abs(i - j)] for j in range(D)]
+                                              for i in range(D)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lags=st.lists(st.floats(), max_size=12),
+           plain=st.dictionaries(st.text(max_size=4),
+                                 st.one_of(st.floats(), st.integers(), st.text(),
+                                           st.lists(st.floats(), max_size=3)),
+                                 max_size=6),
+           keys=st.lists(st.text(max_size=4), max_size=3))
+    def test_matrices_anywhere_encode_as_json_dumps(self, lags, plain, keys):
+        # non-finite lags are written as json writes them: NaN, Infinity
+        payload = dict(plain)
+        for key in keys:
+            payload[key] = total.ToeplitzRows(list(lags))
+        assert cli._json_report(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"))
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for D in (2, 3, 4, 5, 6):
+            assert run_cli(capsys, "coeffs", "--modes", str(D))[0] == 0
+        assert len(built) == 1
+
+    def test_a_rejected_call_leaves_the_next_unchanged(self, capsys):
+        first = _report(capsys, 6)
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", "--format", "csv", "--bins", "3", "--gamma", "0.3,0",
+                  "--snr-db", "12", "--sigma-mdg-db", "2", "--modes", "six"])
+        assert exc.value.code == 2
+        assert run_cli(capsys, "analytic", "--modes", "6", "--snr-db", "10",
+                       "--sigma-mdg-db", "nan", "--format", "csv", "--bins", "3")[0] == 2
+        assert _report(capsys, 6) == first
 
 
 class TestNegativeNumbers:

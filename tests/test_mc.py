@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ class TestCalibration:
         assert any(math.isnan(v) for v in measured)
         assert abs(measured[-1] - 38.0) <= 0.01 * 38.0
         assert measured[-1:] == original(4, 100, [g], seed=1, trials=400)
+
+    def test_zero_eigenvalue_measures_nan_without_a_warning(self, monkeypatch):
+        original = mc._section_gains
+
+        def with_a_zero(*args, **kwargs):
+            lam = original(*args, **kwargs)
+            lam[0, 0] = 0.0
+            return lam
+
+        monkeypatch.setattr(mc, "_section_gains", with_a_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [std] = mc.measure_ensemble_std(4, 3, [2.0], seed=1, trials=10)
+        assert math.isnan(std)
 
     def test_failure_reports_the_evaluations_made(self):
         # the seed and the Newton step, then two secant steps

@@ -42,6 +42,13 @@ class TestCorrelation:
             for j in range(6):
                 assert m[i][j] == m[j][i]
 
+    @pytest.mark.parametrize("D", [1, 2, 7])
+    def test_rows_share_the_lag_values(self, model, D):
+        m = total.correlation_matrix(D, 5.0, model)
+        assert len(m) == D and m.lags == m[0]
+        for i in range(D):
+            assert all(m[i][j] is m.lags[abs(i - j)] for j in range(D))
+
     def test_depends_only_on_index_distance(self, model):
         assert total.correlation(2, 4, 5.0, model) == \
             total.correlation(1, 3, 5.0, model)
