@@ -71,7 +71,13 @@ def _parse_sigma_grid(text: str):
 
 
 def _flatten(payload, prefix=""):
-    if isinstance(payload, dict):
+    if isinstance(payload, total.ToeplitzRows):
+        # the D lag texts once each, not D^2 entries through the recursion
+        texts = [str(v) for v in payload.lags]
+        for i, row in enumerate(total.ToeplitzRows.rows(texts)):
+            head = f"{prefix}{i}."
+            yield from (f"{head}{j},{text}" for j, text in enumerate(row))
+    elif isinstance(payload, dict):
         for key in sorted(payload):
             yield from _flatten(payload[key], f"{prefix}{key}.")
     elif isinstance(payload, (list, tuple)):

@@ -8,7 +8,8 @@ trial index, bin index), so results are independent of execution order.
 
 The trial kernel has two parts.  ``_haar_factors`` holds everything that
 does not depend on the per-section gain: the Philox draws, the batched QR
-with its R-diagonal phase fix, and the unit-variance log-gain draws.
+with its R-diagonal phase fix (of every section but the last, whose
+unitary cannot move the spectrum), and the unit-variance log-gain draws.
 ``_section_gains`` scales and centres the gains, chains the sections and
 takes the spectrum.
 
@@ -19,10 +20,11 @@ bins, power control and calibration settings) in one pass, and
 not depend on sigma_mdg, so each chunk of it is built once for the whole
 grid (common random numbers across parameter values).  Calibration runs
 one iteration per sigma in lockstep: each round is one pass over the shared
-calibration sample that measures every pending gain.  Each iteration starts
-from the gain that the accumulated-MDG relation gives, so a sigma whose
-seed measures within tolerance takes one round; the others take a log-log
-Newton step and then secant steps.  The leading chunks of that sample, at
+calibration sample that measures every pending gain, each over the leading
+trials its own pilot asked for.  Each iteration starts from the gain that
+the accumulated-MDG relation gives, so a sigma whose seed measures within
+tolerance takes one round; the others take a log-log Newton step and then
+secant steps.  The leading chunks of that sample, at
 most one chunk budget of complex entries, are held for the whole
 calibration; chunks beyond it are rebuilt once per round, and the held
 ones are dropped before the trial pass.  The trial pass builds
@@ -117,6 +119,8 @@ class McEnsembleResult:
     per_mode_cap_histograms: list
     total_histogram: dict
     discarded_trials: int = 0
+    calibration_trials_used: int = 0  # trials of the calibration sample
+    calibration_rel_se: float | None = None  # its pooled std's, as estimated
     gain_samples: np.ndarray = field(default=None, repr=False)
     cap_samples: np.ndarray = field(default=None, repr=False)
 
@@ -136,10 +140,14 @@ def _draw_trial_blocks(D: int, K: int, rng):
 def _haar_factors(D: int, K: int, rngs):
     """The gain-independent part of a batch of streams.
 
-    Returns the Haar unitaries (B, K, D, D), from the QR of each Ginibre
-    block with the R-diagonal phase correction, and the unit log-gain draws
-    (B, K, D).  Neither depends on the per-section gain, so one build
-    serves every secant step and every sigma of a grid.
+    Returns the Haar unitaries (B, K - 1, D, D) of sections 1 ... K - 1,
+    from the QR of each Ginibre block with the R-diagonal phase correction,
+    and the unit log-gain draws (B, K, D) of all K sections.  Neither
+    depends on the per-section gain, so one build serves every secant step
+    and every sigma of a grid.  The last section's block is drawn, so the
+    stream order does not depend on K, but never factored: its unitary
+    multiplies the channel on the left, which leaves ``eigvalsh(h h^H)``
+    unchanged.  With one section no QR is made at all.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
@@ -147,7 +155,9 @@ def _haar_factors(D: int, K: int, rngs):
     unit = np.empty((len(rngs), K, D))
     for b, rng in enumerate(rngs):
         z[b], unit[b] = _draw_trial_blocks(D, K, rng)
-    q, r = np.linalg.qr(z)
+    if K == 1:
+        return np.empty((len(rngs), 0, D, D), dtype=complex), unit
+    q, r = np.linalg.qr(z[:, :-1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
     return q, unit
@@ -159,16 +169,22 @@ def _section_gains(factors, g_db: float, power_control=POWER_CONTROL_ENSEMBLE):
     Scales the unit draws to ``g_db`` and centres each section's log gains
     so their trace is zero, keeping the accumulated channel determinant
     pinned at unit magnitude instead of letting the overall gain random-walk
-    over the K sections.  Then chains the K sections and takes the spectrum.
+    over the K sections.  Then chains the K sections and takes the spectrum;
+    the last section contributes only its amplitudes, which scale the rows
+    (its unitary would not move the spectrum, see ``_haar_factors``).
     """
     q, unit = factors
-    K, D = q.shape[1:3]
+    K, D = unit.shape[1:3]
     gains_db = unit * g_db
     gains_db -= gains_db.mean(axis=-1, keepdims=True)
     amp = 10.0 ** (gains_db / 20.0)  # field amplitude for a power gain in dB
-    h = q[:, 0] * amp[:, 0, None, :]
-    for k in range(1, K):
-        h = (q[:, k] * amp[:, k, None, :]) @ h
+    if K == 1:
+        h = amp[:, 0, :, None] * np.eye(D)
+    else:
+        h = q[:, 0] * amp[:, 0, None, :]
+        for k in range(1, K - 1):
+            h = (q[:, k] * amp[:, k, None, :]) @ h
+        h *= amp[:, K - 1, :, None]
     return _gains_from_channels(h, D, power_control)
 
 
@@ -185,9 +201,12 @@ def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
     return lam  # eigvalsh returns ascending order
 
 
-def _chunked(n, size):
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
+def _chunked(lo: int, hi: int, size: int):
+    """The trial range [lo, hi) cut at the multiples of ``size``."""
+    while lo < hi:
+        end = min((lo // size + 1) * size, hi)
+        yield lo, end
+        lo = end
 
 
 _CHUNK_BUDGET = 4_000_000  # complex entries held at once
@@ -249,59 +268,129 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
     return [first, *(f.result() for f in others)]
 
 
-def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials: int,
+def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
                          stream: int = _STREAM_CALIBRATION,
                          power_control: str = POWER_CONTROL_ENSEMBLE,
-                         memo: dict | None = None) -> list:
+                         memo: dict | None = None, samples: list | None = None) -> list:
     """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
-    ``gains_db``, over ``trials`` realizations drawn from fixed streams, so
+    ``gains_db``, over the leading realizations of fixed streams, so
     repeated calls with the same seed see the same underlying randomness.
+    ``trials`` is one count for every gain or one count per gain: gain i is
+    measured over trials [0, trials[i]).
 
     One pass over the sample: each chunk's gain-independent factors are
-    built once and chained at every gain.  The requested power control is
-    applied before measuring (the deterministic ensemble-level gain has no
-    effect on the std, so the ensemble mode measures the raw spectrum).  A
-    gain of 0 measures exactly 0; a non-positive eigenvalue makes the
-    measurement NaN.
+    built once and chained at every gain measured over its trials.  The
+    requested power control is applied before measuring (the deterministic
+    ensemble-level gain has no effect on the std, so the ensemble mode
+    measures the raw spectrum).  A gain of 0 measures exactly 0; a
+    non-positive eigenvalue makes the measurement NaN.
+
+    ``samples``, if given, holds one entry per gain: None, or the pooled
+    values (t, D) of the gain's leading t trials, measured before at that
+    same gain.  Those are reused, so only the trials after them are built
+    and evaluated.  Each entry of a non-zero gain is then replaced with its
+    pooled values over all its trials.  The std is taken over them in trial
+    order, so it is bit-identical to a measurement made afresh.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
-    seed, trials and stream.  It keeps the gain-independent factors of the
-    leading chunks, keyed by trial range, at most one chunk budget of
-    complex entries in all; chunks beyond it are redrawn on every call."""
+    seed and stream.  It keeps the gain-independent factors of the leading
+    trials, keyed by trial range: those of the whole chunks that fit in one
+    chunk budget of complex entries.  Trials beyond them are redrawn on
+    every call that measures them."""
+    counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
+    known = [None] * len(gains_db) if samples is None else samples
     stds = [0.0] * len(gains_db)
-    live = [i for i, g in enumerate(gains_db) if g != 0.0]
-    if not live:
+    # per non-zero gain, the trial range [start, stop) it still needs
+    spans = {i: (0 if known[i] is None else len(known[i]), counts[i])
+             for i, g in enumerate(gains_db) if g != 0.0}
+    if not spans:
         return stds
-    held = 0 if memo is None else sum(q.size for q, _ in memo.values())
+    size = _chunk_size(D, K, 1)
+    held = {} if memo is None else memo
+    # the memo holds the chunks below this trial, whole chunks from trial 0
+    # whose unitaries fit in one chunk budget
+    if memo is None:
+        hold_below = 0
+    elif K == 1:  # no unitaries to hold
+        hold_below = math.inf
+    else:
+        hold_below = size * (_CHUNK_BUDGET // (size * (K - 1) * D * D))
+
+    def build(lo, hi):
+        return _haar_factors(D, K, [_rng(seed, stream, t) for t in range(lo, hi)])
+
+    def factors_of(lo, hi):
+        """The factors of trials [lo, hi), held where the memo has them and
+        built elsewhere, and the built blocks as ((a, b), factors)."""
+        parts, fresh, t = [], [], lo
+        for (a, b), factors in sorted(held.items()):
+            if b <= t or a >= hi:
+                continue
+            if a > t:
+                fresh.append(((t, a), build(t, a)))
+                parts.append(fresh[-1][1])
+            end = min(b, hi)
+            parts.append(tuple(f[t - a:end - a] for f in factors))
+            t = end
+        if t < hi:
+            fresh.append(((t, hi), build(t, hi)))
+            parts.append(fresh[-1][1])
+        if len(parts) == 1:
+            return parts[0], fresh
+        return tuple(np.concatenate(f) for f in zip(*parts)), fresh
 
     def piece(lo, hi):
-        factors = None if memo is None else memo.get((lo, hi))
-        fresh = factors is None
-        if fresh:
-            factors = _haar_factors(D, K, [_rng(seed, stream, t) for t in range(lo, hi)])
-        pooled = []
-        for i in live:
-            lam = _section_gains(factors, gains_db[i], power_control)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pooled.append(10.0 * np.log10(lam))
-        return (lo, hi), factors if fresh else None, pooled
+        factors, fresh = factors_of(lo, hi)
+        pooled = {}
+        for i, (start, stop) in spans.items():
+            a, b = max(lo, start) - lo, min(hi, stop) - lo
+            if a < b:
+                lam = _section_gains(tuple(f[a:b] for f in factors), gains_db[i],
+                                     power_control)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    pooled[i] = 10.0 * np.log10(lam)
+        return fresh, pooled
 
-    all_gains = [[] for _ in live]  # per live gain, the pieces in trial order
-    for lo, hi in _chunked(trials, _chunk_size(D, K, 1)):
-        # whether this chunk is held is settled here, before its pieces run
-        size = (hi - lo) * K * D * D
-        keep = memo is not None and held + size <= _CHUNK_BUDGET
-        for key, fresh, pooled in _map_pieces(piece, lo, hi):
-            if keep and fresh is not None:
-                memo[key] = fresh
-                held += fresh[0].size
-            for gains, piece_gains in zip(all_gains, pooled):
-                gains.append(piece_gains)
+    values = {i: [] if known[i] is None else [known[i]] for i in spans}
+    first = min(start for start, _ in spans.values())
+    last = max(stop for _, stop in spans.values())
+    for lo, hi in _chunked(first, last, size):
+        for fresh, pooled in _map_pieces(piece, lo, hi):
+            if hi <= hold_below:
+                held.update(fresh)
+            for i, v in pooled.items():
+                values[i].append(v)
     # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
     with np.errstate(invalid="ignore"):
-        for i, gains in zip(live, all_gains):
-            stds[i] = float(np.concatenate(gains).ravel().std(ddof=1))
+        for i, parts in values.items():
+            pooled = np.concatenate(parts)
+            if samples is not None:
+                samples[i] = pooled
+            stds[i] = float(pooled.ravel().std(ddof=1))
     return stds
+
+
+_PILOT_TRIALS = 64  # leading calibration trials that size each sigma's sample
+
+
+def _relative_se(pooled) -> float | None:
+    """Relative standard error of the pooled std of ``pooled`` (trials, D),
+    by the delta method over each trial's mean and mean square, with the
+    trial as the independent unit (the D values of one trial repel); None
+    for fewer than two trials."""
+    if len(pooled) < 2:
+        return None
+    x = pooled - pooled.mean()
+    scale = x.std()
+    if not scale > 0.0:
+        return 0.0
+    x /= scale  # the ratio does not depend on the scale, which may underflow
+    m = x.mean(axis=1)
+    q = np.mean(x * x, axis=1)
+    m_bar = m.mean()
+    influence = q - 2.0 * m_bar * m  # of the variance mean(q) - mean(m)^2
+    var = q.mean() - m_bar * m_bar
+    return float(influence.std(ddof=1) / math.sqrt(len(pooled)) / (2.0 * var))
 
 
 def _seed(target: float, D: int, K: int) -> tuple:
@@ -331,8 +420,11 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
     spectrum loses positivity measures NaN; such a step is halved back
     towards the last gain with a finite measurement (g = 0, which measures
     exactly 0, before the first), and the iteration continues from there.
-    A seed that measures exactly 0 (a gain lost to underflow) ends in
-    ``CalibrationError``."""
+    Once the bracket between that finite gain and a NaN one is narrower
+    than ``tol`` times the finite gain, the target lies at or beyond the
+    oracle's positivity limit and the iteration ends in
+    ``CalibrationError``, as does a seed that measures exactly 0 (a gain
+    lost to underflow)."""
     if target == 0.0:
         return 0.0
     evals = 0
@@ -344,6 +436,11 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
             f = (yield g) - target
             if math.isfinite(f):
                 return g, f
+            if abs(g - g_finite) < tol * g_finite:
+                raise CalibrationError(
+                    f"per-section gain calibration reached the oracle's positivity "
+                    f"limit short of {target} dB: the ensemble std is finite at "
+                    f"{g_finite} dB and NaN at {g} dB, after {evals} evaluations")
             g = 0.5 * (g_finite + g)
         raise CalibrationError(
             f"per-section gain calibration found no finite ensemble std "
@@ -373,7 +470,8 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
 
 def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
                            tol: float = 0.01, max_iter: int = 50,
-                           power_control: str = POWER_CONTROL_ENSEMBLE) -> list:
+                           power_control: str = POWER_CONTROL_ENSEMBLE,
+                           sizes: list | None = None) -> list:
     """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
     in ``targets``, in order.
 
@@ -381,11 +479,32 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     ensemble std: the model seed for D and K, returned if it measures within
     ``tol``, else a log-log Newton step and secant steps.  Common random
     numbers across iterations make the objective a deterministic smooth
-    function of the per-section gain.  The iterations run in lockstep: a
-    round measures every pending gain in one pass over the shared
-    calibration sample, whose Haar factors and unit gain draws are built
-    once per call within the chunk budget and once per round beyond it.
-    Each gain is the one a lone call for its target would return."""
+    function of the per-section gain.
+
+    Each target's sample is as large as its own standard error needs, and
+    never larger than ``trials_cal``.  Its measurements run on a pilot, the
+    first n_pilot = min(_PILOT_TRIALS, trials_cal) trials, until one comes
+    out finite.  That one fixes the target's sample at
+
+        n = clamp(ceil(n_pilot (se / (tol / 2))^2), n_pilot, trials_cal)
+
+    trials, where se is the relative standard error of the pilot's pooled
+    std (``_relative_se``).  The measurement is then completed over the n
+    trials, reusing the pilot's values, and every later one is made over
+    trials [0, n).  So n depends only on the target's own pilot.
+
+    The iterations run in lockstep: a round measures every pending gain in
+    one pass over the shared calibration sample (and, when a pilot has just
+    fixed a larger sample, a second pass completes those measurements).
+    Its Haar factors and unit gain draws are built once per call within the
+    chunk budget and once per round beyond it.  Each gain is the one a lone
+    call for its target would return.
+
+    ``sizes``, if given, is extended with one (n, se) pair per target: the
+    trials its sample used and the relative standard error of its pooled
+    std at n trials, as the pilot estimates it.  That is at most tol / 2
+    whenever n < ``trials_cal``.  A target of 0 measures nothing, (0, None);
+    se is None too when the pilot has one trial."""
     secants = [_secant(t, D, K, tol, max_iter) for t in targets]
     gains = [0.0] * len(secants)
     pending = {}  # secant index -> gain it waits to have measured
@@ -399,12 +518,37 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
 
     for i in range(len(secants)):
         advance(i, None)
+    n_pilot = min(_PILOT_TRIALS, trials_cal)
+    sized = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
     memo = {}  # gain-independent factors, shared by every round
     while pending:
-        stds = measure_ensemble_std(D, K, list(pending.values()), seed, trials_cal,
-                                    power_control=power_control, memo=memo)
-        for i, std in zip(list(pending), stds):
+        order = list(pending)
+        gains_db = [pending[i] for i in order]
+        samples = [None] * len(order)
+        stds = measure_ensemble_std(D, K, gains_db, seed,
+                                    [sized[i][0] or n_pilot for i in order],
+                                    power_control=power_control, memo=memo,
+                                    samples=samples)
+        grow = []  # positions whose finite pilot fixed a larger sample
+        for j, i in enumerate(order):
+            if sized[i][0] == 0 and samples[j] is not None and math.isfinite(stds[j]):
+                se = _relative_se(samples[j])
+                need = math.inf if se is None else n_pilot * (se / (0.5 * tol)) ** 2
+                n = trials_cal if need >= trials_cal else max(n_pilot, math.ceil(need))
+                sized[i] = (n, None if se is None else se * math.sqrt(n_pilot / n))
+                if n > n_pilot:
+                    grow.append(j)
+        if grow:
+            more = measure_ensemble_std(D, K, [gains_db[j] for j in grow], seed,
+                                        [sized[order[j]][0] for j in grow],
+                                        power_control=power_control, memo=memo,
+                                        samples=[samples[j] for j in grow])
+            for j, std in zip(grow, more):
+                stds[j] = std
+        for i, std in zip(order, stds):
             advance(i, std)
+    if sizes is not None:
+        sizes.extend(sized)
     return gains
 
 
@@ -470,9 +614,11 @@ def run_ensembles(configs) -> list:
     N = first.spec.freq_bins
     pc = first.power_control
 
+    sizes = []
     gains = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
                                    first.calibration_trials, first.seed,
-                                   first.calibration_tol, power_control=pc)
+                                   first.calibration_tol, power_control=pc,
+                                   sizes=sizes)
     live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
     lam_all = [np.ones((first.trials, N, D)) for _ in configs]
     discarded = [[] for _ in configs]
@@ -513,14 +659,14 @@ def run_ensembles(configs) -> list:
         return results
 
     if live:
-        for lo, hi in _chunked(first.trials, _chunk_size(D, K, N)):
+        for lo, hi in _chunked(0, first.trials, _chunk_size(D, K, N)):
             pieces = _map_pieces(piece, lo, hi)
             for j, i in enumerate(live):
                 lam_all[i][lo:hi] = np.concatenate(
                     [p[j][0] for p in pieces]).reshape(hi - lo, N, D)
                 discarded[i].extend(t for p in pieces for t in p[j][1])
 
-    return [_aggregate(*args) for args in zip(configs, gains, lam_all, discarded)]
+    return [_aggregate(*args) for args in zip(configs, gains, sizes, lam_all, discarded)]
 
 
 def run_ensemble(config: McConfig) -> McEnsembleResult:
@@ -528,9 +674,11 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
     return run_ensembles([config])[0]
 
 
-def _aggregate(config: McConfig, g_db: float, lam_all, discarded) -> McEnsembleResult:
-    """The result of one config from its simulated gains (trials, bins, D)
-    and the trials to discard, at most 1 % of them."""
+def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
+               discarded) -> McEnsembleResult:
+    """The result of one config from its calibration, its (trials, relative
+    standard error) and its simulated gains (trials, bins, D), and the
+    trials to discard, at most 1 % of them."""
     D = config.spec.mode_count
     if discarded:
         discarded = sorted(set(discarded))
@@ -579,6 +727,8 @@ def _aggregate(config: McConfig, g_db: float, lam_all, discarded) -> McEnsembleR
         per_mode_cap_histograms=[_histogram(caps[:, i], 60) for i in range(D)],
         total_histogram=_histogram(totals, 60),
         discarded_trials=len(discarded),
+        calibration_trials_used=sized[0],
+        calibration_rel_se=sized[1],
         gain_samples=gains,
         cap_samples=caps,
     )
@@ -612,6 +762,8 @@ def result_to_json(result: McEnsembleResult) -> str:
         "total_mean_bits_per_s_per_hz": result.total_mean,
         "total_var": result.total_var,
         "discarded_trials": result.discarded_trials,
+        "calibration_trials_used": result.calibration_trials_used,
+        "calibration_rel_se": result.calibration_rel_se,
         "gain_histogram": result.gain_histogram,
         "per_mode_cap_histograms": result.per_mode_cap_histograms,
         "total_histogram": result.total_histogram,

@@ -181,6 +181,21 @@ class TestReportEncoding:
         assert cli._json_report(payload) == json.dumps(
             payload, sort_keys=True, separators=(",", ":"))
 
+    @settings(max_examples=100, deadline=None)
+    @given(lags=st.lists(st.floats(), max_size=12),
+           plain=st.dictionaries(st.text(max_size=4),
+                                 st.one_of(st.floats(), st.integers(),
+                                           st.lists(st.floats(), max_size=3)),
+                                 max_size=6),
+           keys=st.lists(st.text(max_size=4), max_size=3))
+    def test_matrices_flatten_as_nested_lists(self, lags, plain, keys):
+        # the CSV lines of a Toeplitz matrix are those of its rows as lists
+        payload, nested = dict(plain), dict(plain)
+        for key in keys:
+            payload[key] = total.ToeplitzRows(list(lags))
+            nested[key] = [list(row) for row in payload[key]]
+        assert list(cli._flatten(payload)) == list(cli._flatten(nested))
+
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         built = []
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -81,6 +82,35 @@ class TestHaarUnitary:
         with pytest.raises(ValueError):
             mc._haar_factors(1, 1, [np.random.default_rng(0)])
 
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_last_unitary_does_not_move_the_spectrum(self, K):
+        # the full chain, the last section's unitary included, has the same
+        # spectrum as the chain that leaves it out
+        D, g = 6, 1.5
+        factors = mc._haar_factors(D, K, [mc._rng(2, 0, t) for t in range(4)])
+        z, _ = mc._draw_trial_blocks(D, K, mc._rng(2, 0, 0))
+        q, r = np.linalg.qr(z[-1])
+        last = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        gains_db = factors[1][0] * g
+        gains_db -= gains_db.mean(axis=-1, keepdims=True)
+        amp = 10.0 ** (gains_db / 20.0)
+        h = np.eye(D)
+        for k in range(K):
+            u = factors[0][0, k] if k < K - 1 else last
+            h = (u * amp[k]) @ h
+        full = np.linalg.eigvalsh(h @ h.conj().T)
+        np.testing.assert_allclose(mc._section_gains(factors, g)[0], full, rtol=1e-12)
+
+    def test_one_section_makes_no_qr(self, monkeypatch):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR of a one-section channel")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        factors = mc._haar_factors(3, 1, [mc._rng(0, 0, 0)])
+        amp2 = 10.0 ** ((factors[1][0, 0] - factors[1][0, 0].mean()) * 2.0 / 10.0)
+        np.testing.assert_allclose(mc._section_gains(factors, 2.0)[0], np.sort(amp2),
+                                   rtol=1e-14)
+
 
 def _rounds(monkeypatch):
     """The gains of each ``measure_ensemble_std`` call from now on."""
@@ -105,10 +135,10 @@ class TestCalibration:
         assert 4.95 <= std <= 5.05
 
     def test_steps_back_from_a_nan_measurement(self, monkeypatch):
-        # the seed g = 2.535 measures 38.46 dB, 1.2 % above target; the
-        # Newton step to g = 2.516 loses positivity of the spectrum in one
-        # of the 400 trials and measures NaN, and the step halved back
-        # towards the seed converges
+        # the seed g = 2.6525 measures finite on its 64-trial pilot, which
+        # sizes the sample at 400 trials, but loses positivity of the
+        # spectrum in one of those and measures NaN; the step halved back
+        # towards 0 measures 14.4 dB, and the iteration converges from there
         measured = []
         original = mc.measure_ensemble_std
 
@@ -118,9 +148,9 @@ class TestCalibration:
             return stds
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
-        [g] = calibrate_section_gain(4, 100, [38.0], 400, seed=1)
+        [g] = calibrate_section_gain(4, 100, [41.0], 400, seed=1)
         assert any(math.isnan(v) for v in measured)
-        assert abs(measured[-1] - 38.0) <= 0.01 * 38.0
+        assert abs(measured[-1] - 41.0) <= 0.01 * 41.0
         assert measured[-1:] == original(4, 100, [g], seed=1, trials=400)
 
     def test_zero_eigenvalue_measures_nan_without_a_warning(self, monkeypatch):
@@ -173,11 +203,14 @@ class TestCalibration:
         assert rounds == [[g]] and g == mc._seed(5.0, 6, 20)[0]
 
     @pytest.mark.parametrize("D, K, seed, gains_per_round", [
-        (4, 100, 5, [3]), (8, 100, 5, [3]), (12, 100, 5, [3]), (40, 100, 5, [3]),
-        (20, 5, 1, [3, 2]), (20, 5, 52, [3, 1]),
+        (4, 100, 5, [3, 3]), (8, 100, 5, [3, 3]), (12, 100, 5, [3, 3]),
+        (40, 100, 5, [3]), (20, 5, 1, [3, 3, 3]), (20, 5, 52, [3, 3, 1]),
     ])
     def test_rounds_on_the_sigma_grid(self, monkeypatch, D, K, seed, gains_per_round):
-        # criterion 08's links and the benchmark's D = 20 fit at 2.5, 5, 7.5 dB
+        # criterion 08's links and the benchmark's D = 20 fit at 2.5, 5, 7.5 dB:
+        # the seeds on the pilot, then the pass that completes the seeds'
+        # measurements over the larger samples their pilots fixed (none at
+        # D = 40, whose pilot is precise enough), then the further rounds
         rounds = _rounds(monkeypatch)
         calibrate_section_gain(D, K, [2.5, 5.0, 7.5], 400, seed=seed)
         assert [len(gains) for gains in rounds] == gains_per_round
@@ -197,6 +230,124 @@ class TestCalibration:
         assert abs(std - sigma) <= 0.01 * sigma
 
 
+def _sized(D, K, targets, trials_cal, seed, tol=0.01):
+    """The gains and the (trials, relative standard error) of a calibration."""
+    sizes = []
+    gains = calibrate_section_gain(D, K, targets, trials_cal, seed, tol=tol, sizes=sizes)
+    return gains, sizes
+
+
+class TestCalibrationSizing:
+    """Each sigma's calibration sample is sized by the standard error of its
+    own pooled std, never above ``calibration_trials``."""
+
+    @pytest.mark.parametrize("D, K, seed, trials_cal, tol", [
+        (20, 5, 1, 400, 0.01), (20, 5, 1, 100, 0.01), (20, 100, 5, 400, 0.01),
+        (12, 100, 5, 400, 0.01), (6, 100, 5, 400, 0.01), (2, 100, 5, 400, 0.01),
+        (6, 20, 2, 400, 0.05), (6, 20, 2, 30, 0.01),
+    ])
+    def test_sample_is_capped_or_meets_the_se_target(self, D, K, seed, trials_cal, tol):
+        _, sizes = _sized(D, K, [2.5, 5.0, 7.5], trials_cal, seed, tol)
+        pilot = min(mc._PILOT_TRIALS, trials_cal)
+        for n, se in sizes:
+            assert pilot <= n <= trials_cal
+            assert n == trials_cal or se <= 0.5 * tol
+
+    def test_sizes_of_the_benchmark_fit_and_criterion_08(self):
+        # D = 20 with 5 sections needs about 250-290 trials; with 100
+        # sections the pilot suffices at D = 40, D = 12 needs about 130-150
+        # trials and D = 6 keeps the whole 400-trial sample
+        for D, K, seed, lo, hi in [(20, 5, 1, 200, 320), (40, 100, 5, 64, 64),
+                                   (12, 100, 5, 100, 200), (6, 100, 5, 400, 400)]:
+            _, sizes = _sized(D, K, [2.5, 5.0, 7.5], 400, seed)
+            assert all(lo <= n <= hi for n, _ in sizes), (D, K, sizes)
+
+    def test_zero_target_measures_nothing(self):
+        assert _sized(6, 20, [0.0, 5.0], 40, 1)[1][0] == (0, None)
+
+    def test_pilot_values_are_reused(self, monkeypatch):
+        # the pilot's trials are built and chained once: the pass that
+        # completes a seed's measurement builds and evaluates only the rest
+        D, K = 20, 5
+        factored, chained = [], []
+        original_measure = mc.measure_ensemble_std
+        original_qr = np.linalg.qr
+        original_gains = mc._section_gains
+
+        def counted_measure(*args, **kwargs):
+            factored.append(0)
+            chained.append(0)
+            return original_measure(*args, **kwargs)
+
+        def counted_qr(a, *args, **kwargs):
+            factored[-1] += a.shape[0]
+            return original_qr(a, *args, **kwargs)
+
+        def counted_gains(factors, *args, **kwargs):
+            chained[-1] += factors[1].shape[0]
+            return original_gains(factors, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(mc, "_section_gains", counted_gains)
+        [_], [(n, _)] = _sized(D, K, [5.0], 400, 1)
+        pilot = mc._PILOT_TRIALS
+        assert pilot < n < 400
+        assert factored[:2] == [pilot, n - pilot] and not any(factored[2:])
+        assert chained == [pilot, n - pilot] + [n] * (len(chained) - 2)
+
+    def test_remeasured_on_fresh_seeds(self):
+        # the std at the calibrated gain scatters over fresh samples of the
+        # same size by about the sample's standard error, tol / 2
+        tol, target = 0.01, 5.0
+        [g], [(n, se)] = _sized(20, 5, [target], 400, 1, tol)
+        assert n < 400 and se <= 0.5 * tol
+        stds = [mc.measure_ensemble_std(20, 5, [g], seed, n)[0]
+                for seed in range(101, 121)]
+        assert np.std(stds, ddof=1) / target <= 2.0 * (0.5 * tol)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_sizes_hold_for_any_worker_count(self, monkeypatch, workers):
+        lone = _sized(20, 5, [2.5, 5.0, 7.5], 400, 52)
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        assert _sized(20, 5, [2.5, 5.0, 7.5], 400, 52) == lone
+
+    def test_grid_member_sizes_equal_lone_sizes(self):
+        sigmas = [2.5, 5.0, 7.5]
+        gains, sizes = _sized(20, 5, sigmas, 400, 52)
+        for s, g, size in zip(sigmas, gains, sizes):
+            assert _sized(20, 5, [s], 400, 52) == ([g], [size])
+
+    def test_relative_se_of_independent_values(self):
+        # for T x D independent normal values the relative standard error
+        # of their std is close to 1 / sqrt(2 T D)
+        rng = np.random.default_rng(3)
+        T, D = 400, 8
+        se = mc._relative_se(3.0 + 2.0 * rng.standard_normal((T, D)))
+        assert se == pytest.approx(1.0 / math.sqrt(2.0 * T * D), rel=0.15)
+
+    def test_relative_se_of_degenerate_samples(self):
+        assert mc._relative_se(np.ones((1, 4))) is None
+        assert mc._relative_se(np.full((5, 4), 2.0)) == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("sigma", [48.0, 50.0, 52.0, 54.0])
+    def test_positivity_limit_ends_in_few_evaluations(self, monkeypatch, seed, sigma):
+        # beyond about 46 dB at D = 2 with 100 sections some spectrum of the
+        # sample loses positivity; finite and NaN gains then alternate
+        # within a percent, and the iteration stops at such a bracket
+        rounds = _rounds(monkeypatch)
+        try:
+            [g] = calibrate_section_gain(2, 100, [sigma], 400, seed)
+        except CalibrationError as exc:
+            assert re.search(r"finite at \S+ dB and NaN at \S+ dB, after \d+ "
+                             r"evaluations", str(exc))
+        else:
+            [std] = mc.measure_ensemble_std(2, 100, [g], seed, 400)
+            assert abs(std - sigma) <= 0.01 * sigma
+        assert len(rounds) <= 31  # 30 evaluations and the pilot's completion
+
+
 def _sha256(result):
     return hashlib.sha256(result_to_json(result).encode()).hexdigest()
 
@@ -208,29 +359,32 @@ def _held_trials(memo):
 
 class TestBitExactness:
     """Gains and report digests frozen from one run of the model-seeded
-    calibration.  Chunking, the calibration memo and the worker count must
-    not move a bit of them.  The digests belong to one numpy/LAPACK build:
+    calibration on samples sized by their standard error, with the last
+    section's unitary left out of the chain.  Chunking, the calibration
+    memo and the worker count must not move a bit of them.  The digests belong to one numpy/LAPACK build:
     another build may round the QR or eigenvalues differently and needs
     them recorded afresh."""
 
     def test_d20_k5(self):
         res = run_ensemble(McConfig(ChannelSpec(20, 10.0, 5.0), sections=5,
                                     trials=200, seed=1))
-        assert res.section_gain_db.hex() == "0x1.1c63fffd58f9fp+1"
+        assert res.section_gain_db.hex() == "0x1.1ddae2c27d729p+1"
+        assert res.calibration_trials_used == 264
         assert _sha256(res) == (
-            "33462d58ce3c324df2ebb8ca581fb09f28b8705d836e344af616d287faa01e75")
+            "f7fc6eacef6d716bf93d981a6c9353eabca7243b720b561ceb238ea318d9c36e")
 
     def test_d6_k100_trial_power_control(self):
         res = run_ensemble(McConfig(SPEC_D6, sections=100, trials=200, seed=3,
                                     power_control=POWER_CONTROL_TRIAL))
         assert res.section_gain_db.hex() == "0x1.0ba6118856540p-1"
         assert _sha256(res) == (
-            "f0d633a6a1c64a2c41f1244e9675ce3b0d8819c6c1d5d6483e048ee9c8ffa92f")
+            "e56ceb8a2b569d80ed2a98bf54bc2e3d4e3e5aa016888889ef34a67ddd5023d5")
 
     def test_memo_budget_exceeded(self, monkeypatch):
-        # 7-trial chunks and a memo of three of them: the other 55 chunks of
-        # the 400-trial calibration sample are rebuilt every round; at 15 dB
-        # the model seed misses tolerance, so there are two rounds
+        # 7-trial chunks and a memo of three of them: the other chunks of
+        # the calibration sample (400 trials: D = 4's pilot asks for more)
+        # are rebuilt every round; at 15 dB the model seed misses
+        # tolerance, so there are two rounds
         D, K = 4, 100
         monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 7)
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 3 * 7 * K * D * D)
@@ -245,9 +399,9 @@ class TestBitExactness:
         res = run_ensemble(McConfig(ChannelSpec(D, 10.0, 15.0), sections=K,
                                     trials=150, seed=5))
         assert len(memos) >= 2 and _held_trials(memos[-1]) == list(range(3 * 7))
-        assert res.section_gain_db.hex() == "0x1.5b20f9bf22d9fp+0"
+        assert res.section_gain_db.hex() == "0x1.5b20f9bf22dd7p+0"
         assert _sha256(res) == (
-            "1f7c7cc0ea2bfd5bd8df89a1f12a925933add348bf97f07c1271fbbeab708977")
+            "5206c0b146be09586187b133fbd909b088e87b08699fff9a51d73b32e952b959")
 
     @pytest.mark.parametrize("budget_chunks", [None, 2, 0])
     def test_memoised_objective_matches_fresh_draws(self, monkeypatch, budget_chunks):
@@ -372,11 +526,11 @@ class TestRunEnsembles:
                                                  for c in configs]
 
     def test_a_nan_step_does_not_disturb_its_neighbour(self, monkeypatch):
-        # the 38 dB calibration measures NaN at its second point (see
-        # TestCalibration) while the 5 dB one converges without
+        # the 41 dB calibration measures NaN at its seed (see TestCalibration)
+        # while the 5 dB one converges without
         configs = [McConfig(ChannelSpec(4, 10.0, s), sections=100, trials=20, seed=1)
-                   for s in (38.0, 5.0)]
-        lone = [calibrate_section_gain(4, 100, [s], 400, seed=1)[0] for s in (38.0, 5.0)]
+                   for s in (41.0, 5.0)]
+        lone = [calibrate_section_gain(4, 100, [s], 400, seed=1)[0] for s in (41.0, 5.0)]
         measured = []
         original = mc.measure_ensemble_std
 
@@ -503,7 +657,7 @@ class TestCalibrationMemo:
         mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=26, memo=memo)
         held = sum(q.size for q, _ in memo.values())
         assert _held_trials(memo) == list(range(25))
-        assert held == 25 * 100 * 40 * 40 <= mc._CHUNK_BUDGET
+        assert held == 25 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
 
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
@@ -608,8 +762,7 @@ class TestRunEnsemble:
         assert res2.total_var < res1.total_var
 
     def test_single_bad_draw_is_discarded(self, monkeypatch):
-        monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: [0.5])
+        _calibrated_at(monkeypatch, 0.5)
         original = mc._haar_factors
         state = {"rows": 0}
 
@@ -628,8 +781,7 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
     def test_non_positive_spectrum_is_discarded(self, monkeypatch, bad):
-        monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: [0.5])
+        _calibrated_at(monkeypatch, 0.5)
         original = mc._gains_from_channels
         calls = itertools.count()
 
@@ -646,8 +798,7 @@ class TestRunEnsemble:
         assert np.isfinite(res.gain_samples).all()
 
     def test_non_positive_spectra_beyond_one_percent_raise(self, monkeypatch):
-        monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: [0.5])
+        _calibrated_at(monkeypatch, 0.5)
         original = mc._gains_from_channels
 
         def all_bad(h, D, power_control=POWER_CONTROL_ENSEMBLE):
@@ -660,8 +811,7 @@ class TestRunEnsemble:
             run_ensemble(McConfig(SPEC_D6, trials=50, seed=2))
 
     def test_too_many_discards_raise(self, monkeypatch):
-        monkeypatch.setattr(mc, "calibrate_section_gain",
-                            lambda *a, **k: [0.5])
+        _calibrated_at(monkeypatch, 0.5)
 
         def broken(D, K, rngs):
             raise np.linalg.LinAlgError("always")
@@ -669,6 +819,16 @@ class TestRunEnsemble:
         monkeypatch.setattr(mc, "_haar_factors", broken)
         with pytest.raises(EnsembleError):
             run_ensemble(McConfig(SPEC_D6, trials=50, seed=2))
+
+
+def _calibrated_at(monkeypatch, g_db):
+    """Skip calibration: every target gets the per-section gain ``g_db``."""
+    def calibrate(D, K, targets, *args, sizes=None, **kwargs):
+        if sizes is not None:
+            sizes.extend((0, None) for _ in targets)
+        return [g_db] * len(targets)
+
+    monkeypatch.setattr(mc, "calibrate_section_gain", calibrate)
 
 
 def _reject_non_finite(token):
@@ -725,6 +885,8 @@ class TestSerialization:
         assert payload["config"]["power_control"] == POWER_CONTROL_ENSEMBLE
         assert len(payload["per_mode_cap_mean_bits_per_s_per_hz"]) == 6
         assert len(payload["total_samples"]) == 400
+        assert payload["calibration_trials_used"] == 400  # D = 6 needs more
+        assert 0.0 < payload["calibration_rel_se"] < 0.01
         assert len(payload["gain_histogram"]["edges"]) == \
             len(payload["gain_histogram"]["counts"]) + 1
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmcap import total
 from sdmcap.capacity import per_mode_stats
@@ -76,6 +78,34 @@ class TestCorrelation:
         total.total_stats(stats, model, 5.0)
         assert len(calls) == D  # the variance takes no pair correlation
         assert len(exps) == D  # and one decay factor per lag
+
+
+def _variance_terms_by_loop(cap_sigmas):
+    """``total.variance_terms`` as the double loop over (i, j) it replaces."""
+    D = len(cap_sigmas)
+    decay = [math.exp(-d) for d in range(D)]
+    a = 0.0
+    for i in range(D):
+        for j in range(D):
+            a += cap_sigmas[i] * cap_sigmas[j] * decay[abs(i - j)]
+    total_sigma = sum(cap_sigmas)
+    return a, a - total_sigma * total_sigma
+
+
+class TestVarianceTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=100))
+    def test_bits_equal_the_double_loop(self, cap_sigmas):
+        assert total.variance_terms(cap_sigmas) == _variance_terms_by_loop(cap_sigmas)
+
+    @pytest.mark.parametrize("D", [2, 10, 11, 40, 100])
+    def test_bits_on_both_sides_of_the_numpy_form(self, D):
+        cap_sigmas = [0.1 + 0.37 * ((7 * i) % 11) for i in range(D)]
+        assert total.variance_terms(cap_sigmas) == _variance_terms_by_loop(cap_sigmas)
+
+    def test_case_study_bits(self, case_stats):
+        assert total.variance_terms(case_stats.cap_sigmas) == \
+            _variance_terms_by_loop(case_stats.cap_sigmas)
 
 
 class TestTotalStats:
