@@ -271,7 +271,7 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
                          stream: int = _STREAM_CALIBRATION,
                          power_control: str = POWER_CONTROL_ENSEMBLE,
-                         memo: dict | None = None, samples: list | None = None) -> list:
+                         memo: dict | None = None, rel_se: list | None = None) -> list:
     """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
     ``gains_db``, over the leading realizations of fixed streams, so
     repeated calls with the same seed see the same underlying randomness.
@@ -285,12 +285,9 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
     measures the raw spectrum).  A gain of 0 measures exactly 0; a
     non-positive eigenvalue makes the measurement NaN.
 
-    ``samples``, if given, holds one entry per gain: None, or the pooled
-    values (t, D) of the gain's leading t trials, measured before at that
-    same gain.  Those are reused, so only the trials after them are built
-    and evaluated.  Each entry of a non-zero gain is then replaced with its
-    pooled values over all its trials.  The std is taken over them in trial
-    order, so it is bit-identical to a measurement made afresh.
+    ``rel_se``, if given, is extended with one relative standard error of
+    the std per gain (``_relative_se``; None for a gain of 0 or a NaN
+    measurement).
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
     seed and stream.  It keeps the gain-independent factors of the leading
@@ -298,13 +295,8 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
     chunk budget of complex entries.  Trials beyond them are redrawn on
     every call that measures them."""
     counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
-    known = [None] * len(gains_db) if samples is None else samples
     stds = [0.0] * len(gains_db)
-    # per non-zero gain, the trial range [start, stop) it still needs
-    spans = {i: (0 if known[i] is None else len(known[i]), counts[i])
-             for i, g in enumerate(gains_db) if g != 0.0}
-    if not spans:
-        return stds
+    live = {i: n for i, (g, n) in enumerate(zip(gains_db, counts)) if g != 0.0}
     size = _chunk_size(D, K, 1)
     held = {} if memo is None else memo
     # the memo holds the chunks below this trial, whole chunks from trial 0
@@ -316,57 +308,44 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
     else:
         hold_below = size * (_CHUNK_BUDGET // (size * (K - 1) * D * D))
 
-    def build(lo, hi):
-        return _haar_factors(D, K, [_rng(seed, stream, t) for t in range(lo, hi)])
-
-    def factors_of(lo, hi):
-        """The factors of trials [lo, hi), held where the memo has them and
-        built elsewhere, and the built blocks as ((a, b), factors)."""
-        parts, fresh, t = [], [], lo
-        for (a, b), factors in sorted(held.items()):
-            if b <= t or a >= hi:
-                continue
-            if a > t:
-                fresh.append(((t, a), build(t, a)))
-                parts.append(fresh[-1][1])
-            end = min(b, hi)
-            parts.append(tuple(f[t - a:end - a] for f in factors))
-            t = end
-        if t < hi:
-            fresh.append(((t, hi), build(t, hi)))
-            parts.append(fresh[-1][1])
-        if len(parts) == 1:
-            return parts[0], fresh
-        return tuple(np.concatenate(f) for f in zip(*parts)), fresh
-
     def piece(lo, hi):
-        factors, fresh = factors_of(lo, hi)
+        # the factors of trials [lo, hi): the held ones, which are those of
+        # trials [0, top), then those built afresh
+        parts = [tuple(f[max(lo, a) - a:min(hi, b) - a] for f in factors)
+                 for (a, b), factors in held.items() if a < hi and lo < b]
+        top = max((b for _, b in held), default=0)
+        fresh = {}
+        if top < hi:
+            a = max(lo, top)
+            fresh[a, hi] = _haar_factors(D, K, [_rng(seed, stream, t) for t in range(a, hi)])
+            parts.append(fresh[a, hi])
+        factors = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
         pooled = {}
-        for i, (start, stop) in spans.items():
-            a, b = max(lo, start) - lo, min(hi, stop) - lo
-            if a < b:
-                lam = _section_gains(tuple(f[a:b] for f in factors), gains_db[i],
+        for i, n in live.items():
+            if lo < n:
+                lam = _section_gains(tuple(f[:n - lo] for f in factors), gains_db[i],
                                      power_control)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     pooled[i] = 10.0 * np.log10(lam)
         return fresh, pooled
 
-    values = {i: [] if known[i] is None else [known[i]] for i in spans}
-    first = min(start for start, _ in spans.values())
-    last = max(stop for _, stop in spans.values())
-    for lo, hi in _chunked(first, last, size):
+    values = {i: [] for i in live}
+    for lo, hi in _chunked(0, max(live.values(), default=0), size):
         for fresh, pooled in _map_pieces(piece, lo, hi):
             if hi <= hold_below:
                 held.update(fresh)
             for i, v in pooled.items():
                 values[i].append(v)
     # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
+    ses = [None] * len(gains_db)
     with np.errstate(invalid="ignore"):
         for i, parts in values.items():
             pooled = np.concatenate(parts)
-            if samples is not None:
-                samples[i] = pooled
             stds[i] = float(pooled.ravel().std(ddof=1))
+            if rel_se is not None and math.isfinite(stds[i]):
+                ses[i] = _relative_se(pooled)
+    if rel_se is not None:
+        rel_se.extend(ses)
     return stds
 
 
@@ -420,23 +399,24 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
     spectrum loses positivity measures NaN; such a step is halved back
     towards the last gain with a finite measurement (g = 0, which measures
     exactly 0, before the first), and the iteration continues from there.
-    Once the bracket between that finite gain and a NaN one is narrower
-    than ``tol`` times the finite gain, the target lies at or beyond the
-    oracle's positivity limit and the iteration ends in
+    When that finite gain measured below the target and the NaN one lies
+    above it, within ``tol`` times the finite gain, the target lies at or
+    beyond the oracle's positivity limit and the iteration ends in
     ``CalibrationError``, as does a seed that measures exactly 0 (a gain
-    lost to underflow)."""
+    lost to underflow).  A NaN on the other side (the std is not monotone
+    in the gain where positivity is lost) is only halved back."""
     if target == 0.0:
         return 0.0
     evals = 0
 
-    def objective(g, g_finite):
+    def objective(g, g_finite, f_finite):
         nonlocal evals
         for _ in range(max_iter):
             evals += 1
             f = (yield g) - target
             if math.isfinite(f):
                 return g, f
-            if abs(g - g_finite) < tol * g_finite:
+            if f_finite < 0.0 and 0.0 < g - g_finite < tol * g_finite:
                 raise CalibrationError(
                     f"per-section gain calibration reached the oracle's positivity "
                     f"limit short of {target} dB: the ensemble std is finite at "
@@ -447,12 +427,13 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
             f"above {g_finite} dB in {evals} evaluations")
 
     seed, elasticity = _seed(target, D, K)
-    g0, f0 = yield from objective(seed, 0.0)
+    g0, f0 = yield from objective(seed, 0.0, -target)
     if abs(f0) <= tol * target:
         return g0
     std0 = target + f0
     if std0 > 0.0:
-        g1, f1 = yield from objective(g0 * (target / std0) ** (1.0 / elasticity), g0)
+        g1, f1 = yield from objective(g0 * (target / std0) ** (1.0 / elasticity),
+                                        g0, f0)
         for _ in range(max_iter):
             if abs(f1) <= tol * target:
                 return g1
@@ -461,7 +442,7 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
                 break
             g2 = max(1e-12, g1 - f1 * (g1 - g0) / denom)
             g0, f0 = g1, f1
-            g1, f1 = yield from objective(g2, g1)
+            g1, f1 = yield from objective(g2, g1, f1)
     raise CalibrationError(
         f"per-section gain calibration did not reach {tol:.3%} of "
         f"{target} dB in {evals} evaluations"
@@ -470,10 +451,9 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
 
 def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
                            tol: float = 0.01, max_iter: int = 50,
-                           power_control: str = POWER_CONTROL_ENSEMBLE,
-                           sizes: list | None = None) -> list:
+                           power_control: str = POWER_CONTROL_ENSEMBLE) -> tuple:
     """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
-    in ``targets``, in order.
+    in ``targets``, in order, and the size of each target's sample.
 
     Each target runs its own iteration (``_secant``) on the measured
     ensemble std: the model seed for D and K, returned if it measures within
@@ -489,22 +469,22 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
         n = clamp(ceil(n_pilot (se / (tol / 2))^2), n_pilot, trials_cal)
 
     trials, where se is the relative standard error of the pilot's pooled
-    std (``_relative_se``).  The measurement is then completed over the n
-    trials, reusing the pilot's values, and every later one is made over
-    trials [0, n).  So n depends only on the target's own pilot.
+    std (``_relative_se``).  The measurement is then remade over the n
+    trials, and every later one is made over trials [0, n).  So n depends
+    only on the target's own pilot.
 
     The iterations run in lockstep: a round measures every pending gain in
     one pass over the shared calibration sample (and, when a pilot has just
-    fixed a larger sample, a second pass completes those measurements).
-    Its Haar factors and unit gain draws are built once per call within the
+    fixed a larger sample, a second pass remakes those measurements).  Its
+    Haar factors and unit gain draws are built once per call within the
     chunk budget and once per round beyond it.  Each gain is the one a lone
     call for its target would return.
 
-    ``sizes``, if given, is extended with one (n, se) pair per target: the
-    trials its sample used and the relative standard error of its pooled
-    std at n trials, as the pilot estimates it.  That is at most tol / 2
-    whenever n < ``trials_cal``.  A target of 0 measures nothing, (0, None);
-    se is None too when the pilot has one trial."""
+    Returns the gains and one (n, se) pair per target: the trials its
+    sample used and the relative standard error of its pooled std at n
+    trials, as the pilot estimates it.  That is at most tol / 2 whenever
+    n < ``trials_cal``.  A target of 0 measures nothing, (0, None); se is
+    None too when the pilot has one trial."""
     secants = [_secant(t, D, K, tol, max_iter) for t in targets]
     gains = [0.0] * len(secants)
     pending = {}  # secant index -> gain it waits to have measured
@@ -519,37 +499,33 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     for i in range(len(secants)):
         advance(i, None)
     n_pilot = min(_PILOT_TRIALS, trials_cal)
-    sized = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
+    sizes = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
     memo = {}  # gain-independent factors, shared by every round
     while pending:
         order = list(pending)
         gains_db = [pending[i] for i in order]
-        samples = [None] * len(order)
+        rel_se = []
         stds = measure_ensemble_std(D, K, gains_db, seed,
-                                    [sized[i][0] or n_pilot for i in order],
+                                    [sizes[i][0] or n_pilot for i in order],
                                     power_control=power_control, memo=memo,
-                                    samples=samples)
+                                    rel_se=rel_se)
         grow = []  # positions whose finite pilot fixed a larger sample
-        for j, i in enumerate(order):
-            if sized[i][0] == 0 and samples[j] is not None and math.isfinite(stds[j]):
-                se = _relative_se(samples[j])
+        for j, (i, se) in enumerate(zip(order, rel_se)):
+            if sizes[i][0] == 0 and gains_db[j] != 0.0 and math.isfinite(stds[j]):
                 need = math.inf if se is None else n_pilot * (se / (0.5 * tol)) ** 2
                 n = trials_cal if need >= trials_cal else max(n_pilot, math.ceil(need))
-                sized[i] = (n, None if se is None else se * math.sqrt(n_pilot / n))
+                sizes[i] = (n, None if se is None else se * math.sqrt(n_pilot / n))
                 if n > n_pilot:
                     grow.append(j)
         if grow:
             more = measure_ensemble_std(D, K, [gains_db[j] for j in grow], seed,
-                                        [sized[order[j]][0] for j in grow],
-                                        power_control=power_control, memo=memo,
-                                        samples=[samples[j] for j in grow])
+                                        [sizes[order[j]][0] for j in grow],
+                                        power_control=power_control, memo=memo)
             for j, std in zip(grow, more):
                 stds[j] = std
         for i, std in zip(order, stds):
             advance(i, std)
-    if sizes is not None:
-        sizes.extend(sized)
-    return gains
+    return gains, sizes
 
 
 def empirical_correlation(cap_samples) -> np.ndarray:
@@ -614,11 +590,9 @@ def run_ensembles(configs) -> list:
     N = first.spec.freq_bins
     pc = first.power_control
 
-    sizes = []
-    gains = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
-                                   first.calibration_trials, first.seed,
-                                   first.calibration_tol, power_control=pc,
-                                   sizes=sizes)
+    gains, sizes = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
+                                          first.calibration_trials, first.seed,
+                                          first.calibration_tol, power_control=pc)
     live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
     lam_all = [np.ones((first.trials, N, D)) for _ in configs]
     discarded = [[] for _ in configs]

@@ -127,10 +127,10 @@ def _rounds(monkeypatch):
 
 class TestCalibration:
     def test_zero_target_gives_zero_gain(self):
-        assert calibrate_section_gain(6, 100, [0.0], 50, 0) == [0.0]
+        assert calibrate_section_gain(6, 100, [0.0], 50, 0) == ([0.0], [(0, None)])
 
     def test_hits_target_within_tolerance(self):
-        [g] = calibrate_section_gain(6, 100, [5.0], 400, seed=1)
+        [g], _ = calibrate_section_gain(6, 100, [5.0], 400, seed=1)
         [std] = mc.measure_ensemble_std(6, 100, [g], seed=1, trials=400)
         assert 4.95 <= std <= 5.05
 
@@ -148,10 +148,46 @@ class TestCalibration:
             return stds
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
-        [g] = calibrate_section_gain(4, 100, [41.0], 400, seed=1)
+        [g], _ = calibrate_section_gain(4, 100, [41.0], 400, seed=1)
         assert any(math.isnan(v) for v in measured)
         assert abs(measured[-1] - 41.0) <= 0.01 * 41.0
         assert measured[-1:] == original(4, 100, [g], seed=1, trials=400)
+
+    @pytest.mark.parametrize("sigma", [39.0, 40.0])
+    def test_nan_below_a_gain_measured_above_is_halved(self, sigma):
+        # the seed measures above the target and the Newton step just below
+        # it NaN: the std is not monotone in the gain there, so the step is
+        # halved back towards the seed rather than taken for the limit
+        [g], [(n, _)] = calibrate_section_gain(4, 100, [sigma], 400, seed=1)
+        [std] = mc.measure_ensemble_std(4, 100, [g], seed=1, trials=n)
+        assert abs(std - sigma) <= 0.01 * sigma
+
+    def test_only_a_nan_just_above_a_gain_measured_below_ends_it(self):
+        target, tol = 10.0, 0.01
+
+        def run(measure):
+            """The gains one iteration asks for, each measured by ``measure``."""
+            it, asked, std = mc._secant(target, 6, 20, tol, 50), [], None
+            try:
+                while True:
+                    asked.append(it.send(std))
+                    std = measure(asked[-1])
+            except StopIteration as done:
+                return asked, done.value
+
+        seed, _ = mc._seed(target, 6, 20)
+        # finite below the target up to 1.002 seeds, NaN beyond
+        with pytest.raises(CalibrationError, match="positivity limit"):
+            run(lambda g: 9.0 * g / seed if g <= 1.002 * seed else math.nan)
+        # the seed measures above the target and the Newton step below it
+        # NaN: that step is halved back towards the seed, and the secant
+        # goes on to the target
+        def measure(g):
+            return 11.0 * (g / seed) ** 2 if g >= 0.94 * seed else math.nan
+
+        asked, g = run(measure)
+        assert math.isnan(measure(asked[1])) and asked[1] < asked[2] < asked[0]
+        assert abs(measure(g) - target) <= tol * target
 
     def test_zero_eigenvalue_measures_nan_without_a_warning(self, monkeypatch):
         original = mc._section_gains
@@ -174,7 +210,7 @@ class TestCalibration:
 
     def test_monotone_in_target(self):
         gains = [
-            calibrate_section_gain(6, 100, [t], 200, seed=1)[0]
+            calibrate_section_gain(6, 100, [t], 200, seed=1)[0][0]
             for t in (2.0, 4.0, 6.0)
         ]
         assert gains[0] < gains[1] < gains[2]
@@ -192,14 +228,14 @@ class TestCalibration:
     @pytest.mark.parametrize("D, K", [(2, 1), (6, 20), (20, 5)])
     def test_subnormal_or_tiny_target_is_typed_or_finite(self, D, K, sigma):
         try:
-            [g] = calibrate_section_gain(D, K, [sigma], 20, seed=1)
+            [g], _ = calibrate_section_gain(D, K, [sigma], 20, seed=1)
         except CalibrationError:
             return
         assert math.isfinite(g)
 
     def test_seed_within_tolerance_costs_one_evaluation(self, monkeypatch):
         rounds = _rounds(monkeypatch)
-        [g] = calibrate_section_gain(6, 20, [5.0], 40, seed=1)  # measures 4.994 dB
+        [g], _ = calibrate_section_gain(6, 20, [5.0], 40, seed=1)  # measures 4.994 dB
         assert rounds == [[g]] and g == mc._seed(5.0, 6, 20)[0]
 
     @pytest.mark.parametrize("D, K, seed, gains_per_round", [
@@ -208,7 +244,7 @@ class TestCalibration:
     ])
     def test_rounds_on_the_sigma_grid(self, monkeypatch, D, K, seed, gains_per_round):
         # criterion 08's links and the benchmark's D = 20 fit at 2.5, 5, 7.5 dB:
-        # the seeds on the pilot, then the pass that completes the seeds'
+        # the seeds on the pilot, then the pass that remakes the seeds'
         # measurements over the larger samples their pilots fixed (none at
         # D = 40, whose pilot is precise enough), then the further rounds
         rounds = _rounds(monkeypatch)
@@ -223,18 +259,11 @@ class TestCalibration:
     def test_gain_remeasures_within_tolerance_or_a_typed_error(self, D, K, sigma, seed,
                                                                trials, pc):
         try:
-            [g] = calibrate_section_gain(D, K, [sigma], trials, seed, power_control=pc)
+            [g], _ = calibrate_section_gain(D, K, [sigma], trials, seed, power_control=pc)
         except CalibrationError:
             return
         [std] = mc.measure_ensemble_std(D, K, [g], seed, trials, power_control=pc)
         assert abs(std - sigma) <= 0.01 * sigma
-
-
-def _sized(D, K, targets, trials_cal, seed, tol=0.01):
-    """The gains and the (trials, relative standard error) of a calibration."""
-    sizes = []
-    gains = calibrate_section_gain(D, K, targets, trials_cal, seed, tol=tol, sizes=sizes)
-    return gains, sizes
 
 
 class TestCalibrationSizing:
@@ -247,7 +276,7 @@ class TestCalibrationSizing:
         (6, 20, 2, 400, 0.05), (6, 20, 2, 30, 0.01),
     ])
     def test_sample_is_capped_or_meets_the_se_target(self, D, K, seed, trials_cal, tol):
-        _, sizes = _sized(D, K, [2.5, 5.0, 7.5], trials_cal, seed, tol)
+        _, sizes = calibrate_section_gain(D, K, [2.5, 5.0, 7.5], trials_cal, seed, tol)
         pilot = min(mc._PILOT_TRIALS, trials_cal)
         for n, se in sizes:
             assert pilot <= n <= trials_cal
@@ -259,15 +288,15 @@ class TestCalibrationSizing:
         # trials and D = 6 keeps the whole 400-trial sample
         for D, K, seed, lo, hi in [(20, 5, 1, 200, 320), (40, 100, 5, 64, 64),
                                    (12, 100, 5, 100, 200), (6, 100, 5, 400, 400)]:
-            _, sizes = _sized(D, K, [2.5, 5.0, 7.5], 400, seed)
+            _, sizes = calibrate_section_gain(D, K, [2.5, 5.0, 7.5], 400, seed)
             assert all(lo <= n <= hi for n, _ in sizes), (D, K, sizes)
 
     def test_zero_target_measures_nothing(self):
-        assert _sized(6, 20, [0.0, 5.0], 40, 1)[1][0] == (0, None)
+        assert calibrate_section_gain(6, 20, [0.0, 5.0], 40, 1)[1][0] == (0, None)
 
-    def test_pilot_values_are_reused(self, monkeypatch):
-        # the pilot's trials are built and chained once: the pass that
-        # completes a seed's measurement builds and evaluates only the rest
+    def test_pilot_trials_are_built_once(self, monkeypatch):
+        # the pass that remakes a seed's measurement over its larger sample
+        # chains the pilot's trials again but builds only the added ones
         D, K = 20, 5
         factored, chained = [], []
         original_measure = mc.measure_ensemble_std
@@ -290,17 +319,17 @@ class TestCalibrationSizing:
         monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(mc, "_section_gains", counted_gains)
-        [_], [(n, _)] = _sized(D, K, [5.0], 400, 1)
+        [_], [(n, _)] = calibrate_section_gain(D, K, [5.0], 400, 1)
         pilot = mc._PILOT_TRIALS
         assert pilot < n < 400
         assert factored[:2] == [pilot, n - pilot] and not any(factored[2:])
-        assert chained == [pilot, n - pilot] + [n] * (len(chained) - 2)
+        assert chained == [pilot] + [n] * (len(chained) - 1)
 
     def test_remeasured_on_fresh_seeds(self):
         # the std at the calibrated gain scatters over fresh samples of the
         # same size by about the sample's standard error, tol / 2
         tol, target = 0.01, 5.0
-        [g], [(n, se)] = _sized(20, 5, [target], 400, 1, tol)
+        [g], [(n, se)] = calibrate_section_gain(20, 5, [target], 400, 1, tol)
         assert n < 400 and se <= 0.5 * tol
         stds = [mc.measure_ensemble_std(20, 5, [g], seed, n)[0]
                 for seed in range(101, 121)]
@@ -308,15 +337,15 @@ class TestCalibrationSizing:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sizes_hold_for_any_worker_count(self, monkeypatch, workers):
-        lone = _sized(20, 5, [2.5, 5.0, 7.5], 400, 52)
+        lone = calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52)
         monkeypatch.setattr(mc, "_worker_count", lambda: workers)
-        assert _sized(20, 5, [2.5, 5.0, 7.5], 400, 52) == lone
+        assert calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52) == lone
 
     def test_grid_member_sizes_equal_lone_sizes(self):
         sigmas = [2.5, 5.0, 7.5]
-        gains, sizes = _sized(20, 5, sigmas, 400, 52)
+        gains, sizes = calibrate_section_gain(20, 5, sigmas, 400, 52)
         for s, g, size in zip(sigmas, gains, sizes):
-            assert _sized(20, 5, [s], 400, 52) == ([g], [size])
+            assert calibrate_section_gain(20, 5, [s], 400, 52) == ([g], [size])
 
     def test_relative_se_of_independent_values(self):
         # for T x D independent normal values the relative standard error
@@ -333,19 +362,26 @@ class TestCalibrationSizing:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("sigma", [48.0, 50.0, 52.0, 54.0])
     def test_positivity_limit_ends_in_few_evaluations(self, monkeypatch, seed, sigma):
-        # beyond about 46 dB at D = 2 with 100 sections some spectrum of the
+        # beyond about 45 dB at D = 2 with 100 sections some spectrum of the
         # sample loses positivity; finite and NaN gains then alternate
-        # within a percent, and the iteration stops at such a bracket
+        # within a percent, and the iteration stops at a bracket of a gain
+        # that measures below the target and a NaN gain just above it
         rounds = _rounds(monkeypatch)
         try:
-            [g] = calibrate_section_gain(2, 100, [sigma], 400, seed)
+            [g], [(n, _)] = calibrate_section_gain(2, 100, [sigma], 400, seed)
         except CalibrationError as exc:
-            assert re.search(r"finite at \S+ dB and NaN at \S+ dB, after \d+ "
-                             r"evaluations", str(exc))
+            bracket = re.search(r"finite at (\S+) dB and NaN at (\S+) dB, after \d+ "
+                                r"evaluations", str(exc))
+            g_finite, g_nan = map(float, bracket.groups())
+            assert 0.0 < g_nan - g_finite < 0.01 * g_finite
+            std_finite, std_nan = mc.measure_ensemble_std(2, 100, [g_finite, g_nan],
+                                                          seed, 400)
+            assert std_finite < sigma and math.isnan(std_nan)
         else:
-            [std] = mc.measure_ensemble_std(2, 100, [g], seed, 400)
+            assert n == 400
+            [std] = mc.measure_ensemble_std(2, 100, [g], seed, n)
             assert abs(std - sigma) <= 0.01 * sigma
-        assert len(rounds) <= 31  # 30 evaluations and the pilot's completion
+        assert len(rounds) <= 31  # 30 evaluations and the pilot's remake
 
 
 def _sha256(result):
@@ -530,7 +566,7 @@ class TestRunEnsembles:
         # while the 5 dB one converges without
         configs = [McConfig(ChannelSpec(4, 10.0, s), sections=100, trials=20, seed=1)
                    for s in (41.0, 5.0)]
-        lone = [calibrate_section_gain(4, 100, [s], 400, seed=1)[0] for s in (41.0, 5.0)]
+        lone = [calibrate_section_gain(4, 100, [s], 400, seed=1)[0][0] for s in (41.0, 5.0)]
         measured = []
         original = mc.measure_ensemble_std
 
@@ -823,10 +859,8 @@ class TestRunEnsemble:
 
 def _calibrated_at(monkeypatch, g_db):
     """Skip calibration: every target gets the per-section gain ``g_db``."""
-    def calibrate(D, K, targets, *args, sizes=None, **kwargs):
-        if sizes is not None:
-            sizes.extend((0, None) for _ in targets)
-        return [g_db] * len(targets)
+    def calibrate(D, K, targets, *args, **kwargs):
+        return [g_db] * len(targets), [(0, None)] * len(targets)
 
     monkeypatch.setattr(mc, "calibrate_section_gain", calibrate)
 
