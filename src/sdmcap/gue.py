@@ -86,15 +86,16 @@ def derive_coefficients(D: int) -> GueCoefficients:
     s2 = Fraction(D * (D + 1), 2)  # square of the x scaling inside H_2m
     c = [Fraction(0)] * D  # coefficient of x^(2j)
     for k in range(D):
-        hk2 = hermite(k) * hermite(k)  # even polynomial in u
+        hk = hermite(k)
+        hk2 = [sum(hk[i] * hk[p - i] for i in range(max(0, p - k), min(p, k) + 1))
+               for p in range(2 * k + 1)]  # H_k^2: an even polynomial in u
         weight = Fraction(1, 2**k * math.factorial(k))
-        for power, coeff in enumerate(hk2.coeffs):
+        for power, coeff in enumerate(hk2):
             if coeff == 0:
                 continue
             m = power // 2  # hk2 has even powers only
             t_coeff = weight * coeff / Fraction(4 * (D - 1)) ** m if m else weight * coeff
-            h2m = hermite(2 * m)
-            for xpow, hcoeff in enumerate(h2m.coeffs):
+            for xpow, hcoeff in enumerate(hermite(2 * m)):
                 if hcoeff == 0:
                     continue
                 j = xpow // 2

@@ -11,25 +11,28 @@ does not depend on the per-section gain: the Philox draws, the batched QR
 with its R-diagonal phase fix (of every section but the last, whose
 unitary cannot move the spectrum), and the unit-variance log-gain draws.
 ``_section_gains`` scales and centres the gains, chains the sections and
-takes the spectrum.
+takes the spectrum.  ``_spectra`` is the one chunk loop over them, used by
+calibration and the trial pass alike: it builds each chunk's factors once,
+chains them at every gain asked for, and isolates failures, redoing a
+piece whose build or chain raises row by row, each row from its own
+stream; a row that still fails is NaN.  Calibration measures such a gain
+as NaN, and the trial pass discards the row.
 
 ``run_ensembles`` is the one oracle path: it runs a grid of configs that
 differ only in sigma_mdg and SNR (same D, sections, seed, trials, frequency
 bins, power control and calibration settings) in one pass, and
-``run_ensemble`` is its one-config case.  The gain-independent part does
-not depend on sigma_mdg, so each chunk of it is built once for the whole
-grid (common random numbers across parameter values).  Calibration runs
-one iteration per sigma in lockstep: each round is one pass over the shared
-calibration sample that measures every pending gain, each over the leading
-trials its own pilot asked for.  Each iteration starts from the gain that
-the accumulated-MDG relation gives, so a sigma whose seed measures within
+``run_ensemble`` is its one-config case.  The factors do not depend on
+sigma_mdg, so each chunk is built once for the whole grid (common random
+numbers across parameter values).  Calibration runs one iteration per
+sigma in lockstep: each round is one pass over the shared calibration
+sample that measures every pending gain, each over the leading trials its
+own pilot asked for.  Each iteration starts from the gain that the
+accumulated-MDG relation gives, so a sigma whose seed measures within
 tolerance takes one round; the others take a log-log Newton step and then
-secant steps.  The leading chunks of that sample, at
-most one chunk budget of complex entries, are held for the whole
-calibration; chunks beyond it are rebuilt once per round, and the held
-ones are dropped before the trial pass.  The trial pass builds
-each chunk once and chains it at every sigma's calibrated gain.  Each
-result is bit-identical to a lone run of its config.
+secant steps.  The leading chunks of that sample, at most one chunk budget
+of complex entries, are held for the whole calibration; chunks beyond it
+are rebuilt once per round, and the held ones are dropped before the trial
+pass.  Each result is bit-identical to a lone run of its config.
 
 Each chunk is cut into one contiguous trial range per CPU in the process's
 affinity mask; the caller runs the first range and a thread pool the
@@ -115,9 +118,6 @@ class McEnsembleResult:
     total_mean: float
     total_var: float
     total_samples: list
-    gain_histogram: dict
-    per_mode_cap_histograms: list
-    total_histogram: dict
     discarded_trials: int = 0
     calibration_trials_used: int = 0  # trials of the calibration sample
     calibration_rel_se: float | None = None  # its pooled std's, as estimated
@@ -268,79 +268,114 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
     return [first, *(f.result() for f in others)]
 
 
-def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
-                         stream: int = _STREAM_CALIBRATION,
-                         power_control: str = POWER_CONTROL_ENSEMBLE,
-                         memo: dict | None = None, rel_se: list | None = None) -> list:
-    """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
-    ``gains_db``, over the leading realizations of fixed streams, so
-    repeated calls with the same seed see the same underlying randomness.
-    ``trials`` is one count for every gain or one count per gain: gain i is
-    measured over trials [0, trials[i]).
+def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts,
+             power_control: str, memo: dict | None = None) -> list:
+    """Sorted linear gains of trials [0, counts[i]) of one stream kind at
+    each per-section gain ``gains_db[i]``: one (counts[i] * bins, D) array
+    per gain, ``bins`` rows per trial in (trial, bin) order.
 
-    One pass over the sample: each chunk's gain-independent factors are
-    built once and chained at every gain measured over its trials.  The
-    requested power control is applied before measuring (the deterministic
-    ensemble-level gain has no effect on the std, so the ensemble mode
-    measures the raw spectrum).  A gain of 0 measures exactly 0; a
-    non-positive eigenvalue makes the measurement NaN.
-
-    ``rel_se``, if given, is extended with one relative standard error of
-    the std per gain (``_relative_se``; None for a gain of 0 or a NaN
-    measurement).
+    One pass over the trials: each piece of a chunk builds its
+    gain-independent factors once and chains them at every gain whose count
+    covers it.  A piece whose build or chain raises ``LinAlgError`` is
+    redone row by row, each row rebuilt from its own stream; a row that
+    still fails is NaN.  Overflow in the chain is not reported: its rows
+    come out non-finite or non-positive, and the caller handles them.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
-    seed and stream.  It keeps the gain-independent factors of the leading
-    trials, keyed by trial range: those of the whole chunks that fit in one
-    chunk budget of complex entries.  Trials beyond them are redrawn on
-    every call that measures them."""
-    counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
-    stds = [0.0] * len(gains_db)
-    live = {i: n for i, (g, n) in enumerate(zip(gains_db, counts)) if g != 0.0}
-    size = _chunk_size(D, K, 1)
+    bins, seed and stream.  It keeps the factors of the leading trials,
+    keyed by trial range: those of the whole chunks from trial 0 that fit
+    in one chunk budget of complex entries, up to the first chunk whose
+    build failed.  Trials beyond them are rebuilt on every call."""
+    size = _chunk_size(D, K, bins)
     held = {} if memo is None else memo
-    # the memo holds the chunks below this trial, whole chunks from trial 0
-    # whose unitaries fit in one chunk budget
     if memo is None:
         hold_below = 0
     elif K == 1:  # no unitaries to hold
         hold_below = math.inf
     else:
-        hold_below = size * (_CHUNK_BUDGET // (size * (K - 1) * D * D))
+        hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
+
+    def streams(lo, hi):
+        return [_rng(seed, stream, t, b) for t in range(lo, hi) for b in range(bins)]
+
+    def chain(factors, g_db, lo, hi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if factors is not None:
+                try:
+                    return _section_gains(tuple(f[:(hi - lo) * bins] for f in factors),
+                                          g_db, power_control)
+                except np.linalg.LinAlgError:
+                    pass
+            lam = np.full(((hi - lo) * bins, D), np.nan)
+            for row, rng in enumerate(streams(lo, hi)):
+                try:
+                    lam[row] = _section_gains(_haar_factors(D, K, [rng]), g_db,
+                                              power_control)[0]
+                except np.linalg.LinAlgError:
+                    pass
+            return lam
 
     def piece(lo, hi):
         # the factors of trials [lo, hi): the held ones, which are those of
-        # trials [0, top), then those built afresh
-        parts = [tuple(f[max(lo, a) - a:min(hi, b) - a] for f in factors)
+        # trials [0, top), then those built afresh (None if that fails)
+        parts = [tuple(f[(max(lo, a) - a) * bins:(min(hi, b) - a) * bins] for f in factors)
                  for (a, b), factors in held.items() if a < hi and lo < b]
         top = max((b for _, b in held), default=0)
         fresh = {}
-        if top < hi:
-            a = max(lo, top)
-            fresh[a, hi] = _haar_factors(D, K, [_rng(seed, stream, t) for t in range(a, hi)])
-            parts.append(fresh[a, hi])
-        factors = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        pooled = {}
-        for i, n in live.items():
-            if lo < n:
-                lam = _section_gains(tuple(f[:n - lo] for f in factors), gains_db[i],
-                                     power_control)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    pooled[i] = 10.0 * np.log10(lam)
-        return fresh, pooled
+        try:
+            if top < hi:
+                a = max(lo, top)
+                fresh[a, hi] = _haar_factors(D, K, streams(a, hi))
+                parts.append(fresh[a, hi])
+            factors = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        except np.linalg.LinAlgError:
+            fresh = factors = None
+        return fresh, {i: chain(factors, g, lo, min(hi, n))
+                       for i, (g, n) in enumerate(zip(gains_db, counts)) if lo < n}
 
-    values = {i: [] for i in live}
-    for lo, hi in _chunked(0, max(live.values(), default=0), size):
-        for fresh, pooled in _map_pieces(piece, lo, hi):
-            if hi <= hold_below:
+    spectra = [[] for _ in gains_db]
+    for lo, hi in _chunked(0, max(counts, default=0), size):
+        pieces = _map_pieces(piece, lo, hi)
+        if hi <= hold_below and all(fresh is not None for fresh, _ in pieces):
+            for fresh, _ in pieces:
                 held.update(fresh)
-            for i, v in pooled.items():
-                values[i].append(v)
-    # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
+        else:
+            hold_below = min(hold_below, lo)
+        for _, lams in pieces:
+            for i, lam in lams.items():
+                spectra[i].append(lam)
+    return [np.concatenate(parts) for parts in spectra]
+
+
+def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
+                         power_control: str = POWER_CONTROL_ENSEMBLE,
+                         memo: dict | None = None, rel_se: list | None = None) -> list:
+    """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
+    ``gains_db``, over the leading realizations of the calibration stream,
+    so repeated calls with the same seed see the same underlying
+    randomness.  ``trials`` is one count for every gain or one count per
+    gain: gain i is measured over trials [0, trials[i]).
+
+    The spectra come from one ``_spectra`` pass, whose ``memo`` this passes
+    on.  The requested power control is applied before measuring (the
+    deterministic ensemble-level gain has no effect on the std, so the
+    ensemble mode measures the raw spectrum).  A gain of 0 measures exactly
+    0; a non-positive, non-finite or failed spectrum makes the measurement
+    NaN.
+
+    ``rel_se``, if given, is extended with one relative standard error of
+    the std per gain (``_relative_se``; None for a gain of 0 or a NaN
+    measurement)."""
+    counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
+    live = [i for i, g in enumerate(gains_db) if g != 0.0]
+    spectra = _spectra(D, K, 1, seed, _STREAM_CALIBRATION, [gains_db[i] for i in live],
+                       [counts[i] for i in live], power_control, memo)
+    stds = [0.0] * len(gains_db)
     ses = [None] * len(gains_db)
-    with np.errstate(invalid="ignore"):
-        for i, parts in values.items():
-            pooled = np.concatenate(parts)
+    # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, lam in zip(live, spectra):
+            pooled = 10.0 * np.log10(lam)
             stds[i] = float(pooled.ravel().std(ddof=1))
             if rel_se is not None and math.isfinite(stds[i]):
                 ses[i] = _relative_se(pooled)
@@ -469,16 +504,16 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
         n = clamp(ceil(n_pilot (se / (tol / 2))^2), n_pilot, trials_cal)
 
     trials, where se is the relative standard error of the pilot's pooled
-    std (``_relative_se``).  The measurement is then remade over the n
-    trials, and every later one is made over trials [0, n).  So n depends
-    only on the target's own pilot.
+    std (``_relative_se``).  If n > n_pilot the gain stays pending and is
+    measured again over the n trials in the next round; every later
+    measurement is made over trials [0, n).  So n depends only on the
+    target's own pilot.
 
     The iterations run in lockstep: a round measures every pending gain in
-    one pass over the shared calibration sample (and, when a pilot has just
-    fixed a larger sample, a second pass remakes those measurements).  Its
-    Haar factors and unit gain draws are built once per call within the
-    chunk budget and once per round beyond it.  Each gain is the one a lone
-    call for its target would return.
+    one pass over the shared calibration sample.  Its Haar factors and unit
+    gain draws are built once per call within the chunk budget and once per
+    round beyond it.  Each gain is the one a lone call for its target would
+    return.
 
     Returns the gains and one (n, se) pair per target: the trials its
     sample used and the relative standard error of its pooled std at n
@@ -509,21 +544,13 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
                                     [sizes[i][0] or n_pilot for i in order],
                                     power_control=power_control, memo=memo,
                                     rel_se=rel_se)
-        grow = []  # positions whose finite pilot fixed a larger sample
-        for j, (i, se) in enumerate(zip(order, rel_se)):
-            if sizes[i][0] == 0 and gains_db[j] != 0.0 and math.isfinite(stds[j]):
+        for i, g_db, std, se in zip(order, gains_db, stds, rel_se):
+            if sizes[i][0] == 0 and g_db != 0.0 and math.isfinite(std):
                 need = math.inf if se is None else n_pilot * (se / (0.5 * tol)) ** 2
                 n = trials_cal if need >= trials_cal else max(n_pilot, math.ceil(need))
                 sizes[i] = (n, None if se is None else se * math.sqrt(n_pilot / n))
                 if n > n_pilot:
-                    grow.append(j)
-        if grow:
-            more = measure_ensemble_std(D, K, [gains_db[j] for j in grow], seed,
-                                        [sizes[order[j]][0] for j in grow],
-                                        power_control=power_control, memo=memo)
-            for j, std in zip(grow, more):
-                stds[j] = std
-        for i, std in zip(order, stds):
+                    continue  # remade over the n trials in the next round
             advance(i, std)
     return gains, sizes
 
@@ -596,49 +623,13 @@ def run_ensembles(configs) -> list:
     live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
     lam_all = [np.ones((first.trials, N, D)) for _ in configs]
     discarded = [[] for _ in configs]
-
-    def factors_of(keys):
-        return _haar_factors(D, K, [_rng(first.seed, _STREAM_TRIAL, t, b) for t, b in keys])
-
-    def piece(lo, hi):
-        """Per live config, the gains of trials [lo, hi) and the trials to
-        discard: a (trial, bin) whose eigendecomposition fails or whose
-        spectrum is not positive and finite."""
-        keys = [(t, b) for t in range(lo, hi) for b in range(N)]
-        try:
-            batch = factors_of(keys)
-        except np.linalg.LinAlgError:
-            batch = None
-
-        def chained(g_db):
-            if batch is not None:
-                try:
-                    return _section_gains(batch, g_db, pc)
-                except np.linalg.LinAlgError:
-                    pass
-            # isolate failing draws one by one, each from a fresh stream
-            lam = np.full((len(keys), D), np.nan)
-            for row, key in enumerate(keys):
-                try:
-                    lam[row] = _section_gains(factors_of([key]), g_db, pc)[0]
-                except np.linalg.LinAlgError:
-                    pass
-            return lam
-
-        results = []
-        for i in live:
-            lam = chained(gains[i])
-            bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
-            results.append((lam, [keys[row][0] for row in np.flatnonzero(bad)]))
-        return results
-
-    if live:
-        for lo, hi in _chunked(0, first.trials, _chunk_size(D, K, N)):
-            pieces = _map_pieces(piece, lo, hi)
-            for j, i in enumerate(live):
-                lam_all[i][lo:hi] = np.concatenate(
-                    [p[j][0] for p in pieces]).reshape(hi - lo, N, D)
-                discarded[i].extend(t for p in pieces for t in p[j][1])
+    spectra = _spectra(D, K, N, first.seed, _STREAM_TRIAL, [gains[i] for i in live],
+                       [first.trials] * len(live), pc)
+    for i, lam in zip(live, spectra):
+        # a (trial, bin) whose spectrum failed or is not positive and finite
+        bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
+        discarded[i] = (np.flatnonzero(bad) // N).tolist()
+        lam_all[i] = lam.reshape(first.trials, N, D)
 
     return [_aggregate(*args) for args in zip(configs, gains, sizes, lam_all, discarded)]
 
@@ -697,9 +688,6 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
         total_mean=total_mean,
         total_var=total_var,
         total_samples=totals.tolist(),
-        gain_histogram=_histogram(gains.ravel(), 80),
-        per_mode_cap_histograms=[_histogram(caps[:, i], 60) for i in range(D)],
-        total_histogram=_histogram(totals, 60),
         discarded_trials=len(discarded),
         calibration_trials_used=sized[0],
         calibration_rel_se=sized[1],
@@ -709,7 +697,8 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
 
 
 def result_to_json(result: McEnsembleResult) -> str:
-    """Deterministic JSON serialization of an ensemble result."""
+    """Deterministic JSON serialization of an ensemble result, with the
+    histograms of its pooled gains, per-mode capacities and totals."""
     cfg = result.config
     payload = {
         "schema": 1,
@@ -738,9 +727,9 @@ def result_to_json(result: McEnsembleResult) -> str:
         "discarded_trials": result.discarded_trials,
         "calibration_trials_used": result.calibration_trials_used,
         "calibration_rel_se": result.calibration_rel_se,
-        "gain_histogram": result.gain_histogram,
-        "per_mode_cap_histograms": result.per_mode_cap_histograms,
-        "total_histogram": result.total_histogram,
+        "gain_histogram": _histogram(result.gain_samples.ravel(), 80),
+        "per_mode_cap_histograms": [_histogram(c, 60) for c in result.cap_samples.T],
+        "total_histogram": _histogram(result.total_samples, 60),
         "total_samples": result.total_samples,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -1,4 +1,4 @@
-"""Numeric kernels: exact-rational polynomials, Hermite polynomials,
+"""Numeric kernels: Hermite polynomials with exact coefficients,
 adaptive quadrature (the reference the closed forms are tested against),
 bisection and the inverse error function.
 """
@@ -11,67 +11,9 @@ from fractions import Fraction
 from .errors import QuadratureError
 
 
-class RationalPolynomial:
-    """Polynomial with exact rational coefficients, index = power."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coefficients):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)})"
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPolynomial([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + (_as_poly(other) * Fraction(-1))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        result = x * 0  # preserves Fraction vs float arithmetic
-        for c in reversed(self.coeffs):
-            result = result * x + (c if isinstance(x, Fraction) else float(c))
-        return result
-
-
-def _as_poly(value):
-    if isinstance(value, RationalPolynomial):
-        return value
-    return RationalPolynomial([value])
-
-
-def hermite(n: int) -> RationalPolynomial:
-    """Physicist's Hermite polynomial H_n with exact integer coefficients.
+def hermite(n: int) -> tuple:
+    """Physicist's Hermite polynomial H_n as its n + 1 exact integer
+    coefficients (``Fraction``s), index = power.
 
     Uses the explicit sum H_n(x) = n! sum_k (-1)^k (2x)^(n-2k) / (k! (n-2k)!).
     """
@@ -84,7 +26,7 @@ def hermite(n: int) -> RationalPolynomial:
             (-1) ** k * math.factorial(n) * 2**power,
             math.factorial(k) * math.factorial(power),
         )
-    return RationalPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def _simpson(f_a, f_m, f_b, h):

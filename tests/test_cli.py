@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +329,21 @@ class TestSimulate:
                             "--sigma-mdg-db", "5", "--trials", "1")
         assert code == 2
         assert out == ""
+
+    def test_overflowing_calibration_is_exit_4_without_a_warning(self):
+        # a run of its own, so that numpy's RuntimeWarnings would reach stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "sdmcap.cli", "simulate", "--modes", "6",
+             "--snr-db", "10", "--sigma-mdg-db", "1000", "--trials", "10",
+             "--sections", "20"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert out.stderr.startswith("simulation error:")
+        assert "RuntimeWarning" not in out.stderr
 
     def test_trial_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "trials.csv"

@@ -203,6 +203,37 @@ class TestCalibration:
             [std] = mc.measure_ensemble_std(4, 3, [2.0], seed=1, trials=10)
         assert math.isnan(std)
 
+    def test_overflowing_gain_measures_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [std] = mc.measure_ensemble_std(4, 100, [60.0], seed=1, trials=8)
+        assert math.isnan(std)
+
+    def test_overflowing_target_is_a_calibration_error(self):
+        # every step from the 1000 dB seed overflows the chain until the
+        # halving finds the positivity limit, short of the target
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="positivity limit"):
+                calibrate_section_gain(6, 20, [1000.0], 40, 1)
+
+    def test_failing_batches_are_measured_row_by_row(self, monkeypatch):
+        # every batch build of more than one row fails: each row is rebuilt
+        # from its own stream, and the measurement keeps its bits
+        expected = mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=30)
+        original = mc._haar_factors
+
+        def batches_fail(D, K, rngs):
+            if len(rngs) > 1:
+                raise np.linalg.LinAlgError("batch failure")
+            return original(D, K, rngs)
+
+        monkeypatch.setattr(mc, "_haar_factors", batches_fail)
+        memo = {}
+        assert mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=30,
+                                       memo=memo) == expected
+        assert memo == {}
+
     def test_failure_reports_the_evaluations_made(self):
         # the seed and the Newton step, then two secant steps
         with pytest.raises(CalibrationError, match=r"in 4 evaluations"):
@@ -686,6 +717,29 @@ class TestCalibrationMemo:
         else:
             recomputed = trials // chunk - budget_chunks
             assert factored == [trials] + [chunk * recomputed] * (n - 1)
+
+    def test_a_failed_build_ends_the_held_prefix(self, monkeypatch):
+        # 10-trial chunks and a budget of three: the second chunk's build
+        # fails once, so only the first is held; the next call holds three
+        D, K, chunk = 6, 20, 10
+        monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: chunk)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 3 * chunk * K * D * D)
+        expected = mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40)
+        original = mc._haar_factors
+        builds = itertools.count()
+
+        def second_build_fails(D, K, rngs):
+            if len(rngs) > 1 and next(builds) == 1:
+                raise np.linalg.LinAlgError("one failure")
+            return original(D, K, rngs)
+
+        monkeypatch.setattr(mc, "_haar_factors", second_build_fails)
+        memo = {}
+        assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
+        assert _held_trials(memo) == list(range(chunk))
+        assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
+        assert _held_trials(memo) == list(range(3 * chunk))
 
     def test_memo_holds_at_most_one_chunk_budget(self):
         # D = 40, K = 100: 25 trials fill the budget; the 26th is rebuilt

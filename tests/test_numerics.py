@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sdmcap.errors import QuadratureError, RootLocalizationError
 from sdmcap.numerics import (
-    RationalPolynomial,
     bisect,
     hermite,
     integrate,
@@ -15,46 +14,21 @@ from sdmcap.numerics import (
 )
 
 
-class TestRationalPolynomial:
-    def test_addition_and_multiplication(self):
-        p = RationalPolynomial([1, 2])       # 1 + 2x
-        q = RationalPolynomial([0, 0, 3])    # 3x^2
-        assert (p + q).coeffs == (Fraction(1), Fraction(2), Fraction(3))
-        assert (p * q).coeffs == (0, 0, Fraction(3), Fraction(6))
-
-    def test_subtraction_normalizes_trailing_zeros(self):
-        p = RationalPolynomial([1, 0, 5])
-        q = RationalPolynomial([0, 0, 5])
-        assert (p - q).coeffs == (Fraction(1),)
-
-    def test_call_is_exact_for_rational_input(self):
-        p = RationalPolynomial([Fraction(1, 2), Fraction(1, 3)])
-        assert p(Fraction(3)) == Fraction(3, 2)
-
-    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6),
-           st.lists(st.integers(-20, 20), min_size=1, max_size=6),
-           st.integers(-5, 5))
-    def test_product_evaluation_distributes(self, a, b, x):
-        p, q = RationalPolynomial(a), RationalPolynomial(b)
-        assert (p * q)(x) == p(x) * q(x)
-
-
 class TestHermite:
     def test_first_few_physicists_polynomials(self):
-        assert hermite(0).coeffs == (Fraction(1),)
-        assert hermite(1).coeffs == (0, Fraction(2))
-        assert hermite(2).coeffs == (Fraction(-2), 0, Fraction(4))
-        assert hermite(3).coeffs == (0, Fraction(-12), 0, Fraction(8))
-        assert hermite(4).coeffs == (Fraction(12), 0, Fraction(-48), 0, Fraction(16))
+        assert hermite(0) == (Fraction(1),)
+        assert hermite(1) == (0, Fraction(2))
+        assert hermite(2) == (Fraction(-2), 0, Fraction(4))
+        assert hermite(3) == (0, Fraction(-12), 0, Fraction(8))
+        assert hermite(4) == (Fraction(12), 0, Fraction(-48), 0, Fraction(16))
 
     def test_recurrence(self):
-        # H_{n+1} = 2x H_n - 2n H_{n-1}
-        x = RationalPolynomial([0, 1])
+        # H_{n+1} = 2x H_n - 2n H_{n-1}, power by power
         for n in range(1, 8):
-            lhs = hermite(n + 1)
-            rhs = x * hermite(n) * RationalPolynomial([2]) - \
-                hermite(n - 1) * RationalPolynomial([2 * n])
-            assert lhs.coeffs == rhs.coeffs
+            h_n, h_prev = hermite(n), hermite(n - 1)
+            rhs = tuple(2 * (h_n[p - 1] if p else 0) - 2 * n * (h_prev[p] if p < n else 0)
+                        for p in range(n + 2))
+            assert hermite(n + 1) == rhs
 
 
 class TestIntegrate:
