@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from . import gue, wigner
 from .channel import ChannelSpec
 from .errors import DegenerateDistributionError, UnsupportedOrderError
-from .numerics import bisect
+from .numerics import bisect, matched_sigma
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -43,58 +43,33 @@ def capacity_from_gain(lambda_db: float, snr_linear: float) -> float:
     return math.log2(1.0 + snr_linear * 10.0 ** (lambda_db / 10.0))
 
 
-def gain_mode_pdf(x: float, mean_db: float, sigma_db: float) -> float:
-    """Gaussian approximation of the i-th log-gain distribution."""
-    u = (x - mean_db) / sigma_db
-    return math.exp(-0.5 * u * u) / (sigma_db * _SQRT_2PI)
-
-
-def per_mode_pdf(x: float, i: int, stats: PerModeStats) -> float:
-    """Gaussian log-gain density of mode ``i`` (1-based)."""
-    if not 1 <= i <= stats.D:
-        raise ValueError("mode index out of range")
-    return gain_mode_pdf(x, stats.gain_means[i - 1], stats.gain_sigmas[i - 1])
-
-
-def per_mode_capacity_pdf(c: float, i: int, stats: PerModeStats,
+def per_mode_capacity_pdf(c: float, mean_db: float, sigma_db: float,
                           snr_linear: float) -> float:
-    """Capacity density of mode ``i`` by change of variables from the
-    Gaussian log-gain density."""
+    """Capacity density of a mode with Gaussian log gain N(``mean_db``,
+    ``sigma_db``^2), by change of variables."""
     if c <= 0:
         return 0.0
     two_c = 2.0**c
     lam_db = 10.0 / _LN10 * math.log((two_c - 1.0) / snr_linear)
     jacobian = 10.0 * _LN2 * two_c / (_LN10 * (two_c - 1.0))
-    return jacobian * per_mode_pdf(lam_db, i, stats)
+    u = (lam_db - mean_db) / sigma_db
+    return jacobian * (math.exp(-0.5 * u * u) / (sigma_db * _SQRT_2PI))
 
 
-def per_mode_capacity_mean(i: int, stats: PerModeStats, snr_linear: float,
-                           tol: float = 1e-12) -> float:
-    """Mode of the transformed capacity density: the root of the stationarity
+def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -> float:
+    """Mode of ``per_mode_capacity_pdf``: the root of the stationarity
     condition bracketed by the +-6 sigma gain window."""
-    mu_i = stats.gain_means[i - 1]
-    sig_i = stats.gain_sigmas[i - 1]
-    if sig_i == 0.0:
-        return capacity_from_gain(mu_i, snr_linear)
+    if sigma_db == 0.0:
+        return capacity_from_gain(mean_db, snr_linear)
 
     def stationarity(c):
         two_c = 2.0**c
         lam_db = 10.0 / _LN10 * math.log((two_c - 1.0) / snr_linear)
-        return 10.0 * two_c / (sig_i * sig_i * _LN10) * (lam_db - mu_i) + 1.0
+        return 10.0 * two_c / (sigma_db * sigma_db * _LN10) * (lam_db - mean_db) + 1.0
 
-    lo = capacity_from_gain(mu_i - 6.0 * sig_i, snr_linear)
-    hi = capacity_from_gain(mu_i + 6.0 * sig_i, snr_linear)
-    return bisect(stationarity, lo, hi, tol=tol)
-
-
-def per_mode_capacity_sigma(i: int, stats: PerModeStats, snr_linear: float,
-                            mu_ci: float) -> float:
-    """Gaussian-matched capacity deviation 1 / (sqrt(2 pi) f_Ci(mu_Ci))."""
-    density = per_mode_capacity_pdf(mu_ci, i, stats, snr_linear)
-    if density <= 0:
-        raise DegenerateDistributionError(
-            f"capacity density of mode {i} vanishes at its mean")
-    return 1.0 / (_SQRT_2PI * density)
+    lo = capacity_from_gain(mean_db - 6.0 * sigma_db, snr_linear)
+    hi = capacity_from_gain(mean_db + 6.0 * sigma_db, snr_linear)
+    return bisect(stationarity, lo, hi)
 
 
 def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats:
@@ -134,16 +109,9 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
         mu = gue.mean_log_gain(spec, coeffs)
         gain_means = gue.per_mode_means(spec, coeffs, mu)
         gain_sigmas = gue.per_mode_sigmas(spec, coeffs, mu, gain_means)
-        partial = PerModeStats(
-            D=D, method=METHOD_GUE, mu_lambda_db=mu,
-            gain_means=tuple(gain_means), gain_sigmas=tuple(gain_sigmas),
-            cap_means=(), cap_sigmas=(),
-        )
-        cap_means = [per_mode_capacity_mean(i, partial, snr) for i in range(1, D + 1)]
-        cap_sigmas = [
-            per_mode_capacity_sigma(i, partial, snr, cap_means[i - 1])
-            for i in range(1, D + 1)
-        ]
+        cap_means = [per_mode_capacity_mean(m, s, snr) for m, s in zip(gain_means, gain_sigmas)]
+        cap_sigmas = [matched_sigma(per_mode_capacity_pdf(c, m, s, snr))
+                      for c, m, s in zip(cap_means, gain_means, gain_sigmas)]
         return PerModeStats(
             D=D, method=METHOD_GUE, mu_lambda_db=mu,
             gain_means=tuple(gain_means), gain_sigmas=tuple(gain_sigmas),

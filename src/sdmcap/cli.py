@@ -178,8 +178,7 @@ def cmd_analytic(args) -> int:
 
     exact_mean = total.exact_total_mean(spec, stats)
 
-    tstats = total.total_stats(stats, model, spec.sigma_mdg_db,
-                               mu_ct_exact=exact_mean)
+    tstats = total.total_stats(stats, model, spec.sigma_mdg_db)
     tstats = total.apply_frequency_diversity(tstats, args.bins)
     outage = total.outage_capacity(tstats.mu_ct, tstats.sigma_ct, args.pout)
 
@@ -201,7 +200,7 @@ def cmd_analytic(args) -> int:
         "cap_correlation": total.correlation_matrix(
             spec.mode_count, spec.sigma_mdg_db, model),
         "total_mean_bits_per_s_per_hz": tstats.mu_ct,
-        "total_mean_exact_bits_per_s_per_hz": tstats.mu_ct_exact,
+        "total_mean_exact_bits_per_s_per_hz": exact_mean,
         "total_std_bits_per_s_per_hz": tstats.sigma_ct * math.sqrt(args.bins),
         "total_std_diversity_bits_per_s_per_hz": tstats.sigma_ct,
         "outage_capacity_bits_per_s_per_hz": outage,

@@ -18,12 +18,11 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .errors import DegenerateDistributionError, RootLocalizationError, UnsupportedOrderError
-from .numerics import hermite
+from .numerics import hermite, matched_sigma
 
 SUPPORTED_MIN = 2
 SUPPORTED_MAX = 8
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN10 = math.log(10.0)
 
 
@@ -133,12 +132,6 @@ def ensemble_pdf(x: float, spec: ChannelSpec, coeffs: GueCoefficients,
     return coeffs.alpha / sigma * math.exp(-0.5 * (coeffs.D + 1) * u2) * poly
 
 
-def unit_variance_pdf(coeffs: GueCoefficients):
-    """Unit-variance, zero-mean ensemble density shape, as a callable."""
-    spec = ChannelSpec(coeffs.D, 0.0, 1.0)
-    return lambda x: ensemble_pdf(x, spec, coeffs, 0.0)
-
-
 def mean_log_gain(spec: ChannelSpec, coeffs: GueCoefficients) -> float:
     """Mean of the log-gain ensemble such that the linear-scale gain mean is 1.
 
@@ -209,13 +202,5 @@ def per_mode_means(spec: ChannelSpec, coeffs: GueCoefficients,
 def per_mode_sigmas(spec: ChannelSpec, coeffs: GueCoefficients,
                     mu_lambda_db: float, per_mode_means_db):
     """Per-mode log-gain deviations from the ensemble density at each mean."""
-    D = coeffs.D
-    sigmas = []
-    for mu_i in per_mode_means_db:
-        density = ensemble_pdf(mu_i, spec, coeffs, mu_lambda_db)
-        if density <= 0:
-            raise DegenerateDistributionError(
-                "ensemble density vanishes at a per-mode mean; not a valid maximum"
-            )
-        sigmas.append(1.0 / (D * _SQRT_2PI * density))
-    return sigmas
+    return [matched_sigma(ensemble_pdf(mu_i, spec, coeffs, mu_lambda_db), coeffs.D)
+            for mu_i in per_mode_means_db]

@@ -276,10 +276,11 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
 
     One pass over the trials: each piece of a chunk builds its
     gain-independent factors once and chains them at every gain whose count
-    covers it.  A piece whose build or chain raises ``LinAlgError`` is
-    redone row by row, each row rebuilt from its own stream; a row that
-    still fails is NaN.  Overflow in the chain is not reported: its rows
-    come out non-finite or non-positive, and the caller handles them.
+    covers it.  A piece whose chain raises ``LinAlgError`` is chained row
+    by row from its factors, and one whose build raises is rebuilt row by
+    row, each row from its own stream; a row that still fails is NaN.
+    Overflow in the chain is not reported: its rows come out non-finite or
+    non-positive, and the caller handles them.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
     bins, seed and stream.  It keeps the factors of the leading trials,
@@ -295,22 +296,24 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
     else:
         hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
 
-    def streams(lo, hi):
-        return [_rng(seed, stream, t, b) for t in range(lo, hi) for b in range(bins)]
-
     def chain(factors, g_db, lo, hi):
+        rows = (hi - lo) * bins
         with np.errstate(over="ignore", invalid="ignore"):
             if factors is not None:
                 try:
-                    return _section_gains(tuple(f[:(hi - lo) * bins] for f in factors),
+                    return _section_gains(tuple(f[:rows] for f in factors),
                                           g_db, power_control)
                 except np.linalg.LinAlgError:
                     pass
-            lam = np.full(((hi - lo) * bins, D), np.nan)
-            for row, rng in enumerate(streams(lo, hi)):
+            lam = np.full((rows, D), np.nan)
+            for row in range(rows):
                 try:
-                    lam[row] = _section_gains(_haar_factors(D, K, [rng]), g_db,
-                                              power_control)[0]
+                    if factors is None:
+                        one = _haar_factors(D, K, [_rng(seed, stream, lo + row // bins,
+                                                        row % bins)])
+                    else:
+                        one = tuple(f[row:row + 1] for f in factors)
+                    lam[row] = _section_gains(one, g_db, power_control)[0]
                 except np.linalg.LinAlgError:
                     pass
             return lam
@@ -325,7 +328,8 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
         try:
             if top < hi:
                 a = max(lo, top)
-                fresh[a, hi] = _haar_factors(D, K, streams(a, hi))
+                fresh[a, hi] = _haar_factors(D, K, [_rng(seed, stream, t, b)
+                                                    for t in range(a, hi) for b in range(bins)])
                 parts.append(fresh[a, hi])
             factors = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
         except np.linalg.LinAlgError:

@@ -1,6 +1,6 @@
 """Numeric kernels: Hermite polynomials with exact coefficients,
 adaptive quadrature (the reference the closed forms are tested against),
-bisection and the inverse error function.
+bisection, the inverse error function and the Gaussian match of a density.
 """
 
 from __future__ import annotations
@@ -8,7 +8,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import QuadratureError
+from .errors import DegenerateDistributionError, QuadratureError
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def hermite(n: int) -> tuple:
@@ -106,6 +108,16 @@ def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> fl
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def matched_sigma(density: float, modes: int = 1) -> float:
+    """Deviation of the Gaussian that, weighted 1 / ``modes``, peaks at
+    ``density``: 1 / (modes sqrt(2 pi) density).  A mode's share of an
+    ensemble density with ``modes`` modes, or with 1 its own density."""
+    if density <= 0:
+        raise DegenerateDistributionError(
+            f"density {density} at a per-mode mean is not positive")
+    return 1.0 / (modes * _SQRT_2PI * density)
 
 
 def inverse_erf(p: float) -> float:

@@ -41,11 +41,10 @@ class CorrelationModel:
 
 @dataclass(frozen=True)
 class TotalCapacityStats:
-    """Gaussian total-capacity parameters plus the exact mean integral."""
+    """Gaussian total-capacity parameters over ``n_bins`` frequency bins."""
 
     mu_ct: float  # bit/s/Hz, sum of per-mode Gaussian means
     sigma_ct: float  # bit/s/Hz
-    mu_ct_exact: float  # bit/s/Hz, ensemble-density mean integral (NaN if unset)
     n_bins: int = 1
 
 
@@ -113,8 +112,7 @@ def variance_terms(cap_sigmas) -> tuple:
 
 
 def total_stats(stats: PerModeStats, model: CorrelationModel,
-                sigma_mdg_db: float, mu_ct_exact: float = math.nan,
-                n_bins: int = 1) -> TotalCapacityStats:
+                sigma_mdg_db: float) -> TotalCapacityStats:
     """Total-capacity Gaussian parameters from per-mode statistics and the
     correlation model.  A non-positive computed variance means the empirical
     correlation model is being used outside its fitted envelope and raises."""
@@ -126,8 +124,7 @@ def total_stats(stats: PerModeStats, model: CorrelationModel,
             f"computed total variance {var} is not positive; the correlation "
             f"model is out of its valid range"
         )
-    return TotalCapacityStats(mu_ct=mu_ct, sigma_ct=math.sqrt(max(var, 0.0)),
-                              mu_ct_exact=mu_ct_exact, n_bins=n_bins)
+    return TotalCapacityStats(mu_ct=mu_ct, sigma_ct=math.sqrt(max(var, 0.0)))
 
 
 def exact_total_mean(spec: ChannelSpec, stats: PerModeStats) -> float:

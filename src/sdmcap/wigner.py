@@ -10,11 +10,10 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelSpec
-from .errors import DegenerateDistributionError
+from .numerics import matched_sigma
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # 64-node Gauss-Chebyshev rule of the second kind, mapped onto the unit
 # semicircle on [-2, 2]: E[g(U)] = sum_k w_k g(u_k)
@@ -129,12 +128,5 @@ def per_mode_means_from_cdf(spec: ChannelSpec, mu_lambda_db: float):
 
 def per_mode_sigmas_from_pdf(spec: ChannelSpec, mu_lambda_db: float, means):
     """Per-mode capacity deviations from the ensemble density at each mean."""
-    D = spec.mode_count
-    sigmas = []
-    for mu_c in means:
-        density = capacity_pdf(mu_c, spec, mu_lambda_db)
-        if density <= 0:
-            raise DegenerateDistributionError(
-                "capacity density vanished at a quantile point")
-        sigmas.append(1.0 / (D * _SQRT_2PI * density))
-    return sigmas
+    return [matched_sigma(capacity_pdf(mu_c, spec, mu_lambda_db), spec.mode_count)
+            for mu_c in means]

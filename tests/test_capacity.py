@@ -52,17 +52,15 @@ class TestPerModeStats:
     def test_cap_means_are_density_modes(self, case_study):
         st = case_study
         snr = ChannelSpec(6, 10.0, 5.0).snr_linear
-        for i, mu_c in enumerate(st.cap_means, start=1):
-            f0 = capacity.per_mode_capacity_pdf(mu_c, i, st, snr)
-            assert f0 > capacity.per_mode_capacity_pdf(mu_c - 0.01, i, st, snr)
-            assert f0 > capacity.per_mode_capacity_pdf(mu_c + 0.01, i, st, snr)
+        for mu_c, m, s in zip(st.cap_means, st.gain_means, st.gain_sigmas):
+            f0 = capacity.per_mode_capacity_pdf(mu_c, m, s, snr)
+            assert f0 > capacity.per_mode_capacity_pdf(mu_c - 0.01, m, s, snr)
+            assert f0 > capacity.per_mode_capacity_pdf(mu_c + 0.01, m, s, snr)
 
-    def test_vanishing_capacity_density_is_a_typed_error(self, case_study,
-                                                         monkeypatch):
+    def test_vanishing_capacity_density_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(capacity, "per_mode_capacity_pdf", lambda *args: 0.0)
         with pytest.raises(DegenerateDistributionError):
-            capacity.per_mode_capacity_sigma(1, case_study, 10.0,
-                                             case_study.cap_means[0])
+            capacity.per_mode_stats(ChannelSpec(6, 10.0, 5.0))
 
     def test_auto_dispatch_boundary(self):
         assert capacity.per_mode_stats(
@@ -95,13 +93,8 @@ class TestPerModeStats:
             assert capacity.capacity_from_gain(g, spec.snr_linear) == \
                 pytest.approx(c, abs=1e-10)
 
-    def test_per_mode_pdf_index_bounds(self, case_study):
-        with pytest.raises(ValueError):
-            capacity.per_mode_pdf(0.0, 0, case_study)
-        with pytest.raises(ValueError):
-            capacity.per_mode_pdf(0.0, 7, case_study)
-
     def test_capacity_pdf_vanishes_at_non_positive_capacity(self, case_study):
         snr = 10.0
-        assert capacity.per_mode_capacity_pdf(0.0, 1, case_study, snr) == 0.0
-        assert capacity.per_mode_capacity_pdf(-1.0, 1, case_study, snr) == 0.0
+        m, s = case_study.gain_means[0], case_study.gain_sigmas[0]
+        assert capacity.per_mode_capacity_pdf(0.0, m, s, snr) == 0.0
+        assert capacity.per_mode_capacity_pdf(-1.0, m, s, snr) == 0.0

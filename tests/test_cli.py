@@ -138,8 +138,12 @@ class TestNonFiniteInputs:
 _FROZEN_REPORT_SHA256 = {
     (2, "json"): "7c2170f78d1e24443590e06242d04d96e95ff9c65195dba29e0f9a5e76cd4a8d",
     (2, "csv"): "f96b777c38433d6ff939047d4ac4fa277bc978487e2e05ecc309ca8f09ed4510",
+    (4, "json"): "5f10f61dd86e2dfa0a06ed3f7f8789eadaf309bcdef60fb4c2b644ffdba69ac6",
     (6, "json"): "1cb7662ae4b32910307f0da51f1417559c9fff200524b22700e06afbbfd39b9b",
     (6, "csv"): "9a5243484c93180a7c32c2cd03fc6dfe70a71c3bbfaa40d3bd21465fb1c7f5e4",
+    # the last GUE point and the first semicircle point
+    (8, "json"): "04314f165cd952590fbcfc69b9b5bef31d138b7843e119545e15be3cdd97ce63",
+    (9, "json"): "0d5a971fb30d04a5875893912a21dda604c285af2fd82dfb19e11080eebeeb38",
     (40, "json"): "5505f1ec99cc9485b5d719deca97cf4d10a8b5761d8dd06da5470ef42f5bba0b",
     (40, "csv"): "a3a5760f58de9f128a923165635f152bf5591ef2b8104f61fa7f0ad7961320d9",
     (100, "json"): "46968498763a3a1ee4b435c786441b5f071b29c65d787daf9f9b16659530f05b",

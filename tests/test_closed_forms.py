@@ -51,7 +51,8 @@ def _unit_density(D):
     """Density of u = (x - mu) / sigma on the track ``per_mode_stats``
     picks for D, with a support outside which it is negligible."""
     if D <= gue.SUPPORTED_MAX:
-        return gue.unit_variance_pdf(gue.derive_coefficients(D)), (-12.0, 12.0)
+        coeffs, unit = gue.derive_coefficients(D), ChannelSpec(D, 0.0, 1.0)
+        return (lambda u: gue.ensemble_pdf(u, unit, coeffs, 0.0)), (-12.0, 12.0)
     return (lambda u: wigner.semicircle_pdf(u, 1.0, 0.0)), (-2.0, 2.0)
 
 

@@ -54,7 +54,8 @@ class TestDeriveCoefficients:
 
     def test_numeric_area_and_variance(self):
         coeffs = gue.derive_coefficients(4)
-        pdf = gue.unit_variance_pdf(coeffs)
+        unit = ChannelSpec(4, 0.0, 1.0)
+        pdf = lambda x: gue.ensemble_pdf(x, unit, coeffs, 0.0)
         assert integrate(pdf, -8.0, 8.0, tol=1e-11) == pytest.approx(1.0, abs=1e-9)
         second = integrate(lambda x: x * x * pdf(x), -8.0, 8.0, tol=1e-11)
         assert second == pytest.approx(1.0, abs=1e-8)
@@ -83,7 +84,8 @@ class TestEnsemblePdf:
         samples = np.sort((lam / lam.std(ddof=1)).ravel())
 
         coeffs = gue.derive_coefficients(D)
-        pdf = gue.unit_variance_pdf(coeffs)
+        unit = ChannelSpec(D, 0.0, 1.0)
+        pdf = lambda x: gue.ensemble_pdf(x, unit, coeffs, 0.0)
         grid = np.linspace(-4.0, 4.0, 4001)
         vals = np.array([pdf(x) for x in grid])
         cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0

@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level function or class goes unused.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
 read anywhere in the module or is listed in ``__all__`` (the package's
-re-exports).
+re-exports).  A private definition counts as used when the package reads
+its name (bare, as an attribute or in an import) outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,29 @@ def test_no_unused_module_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _module_imports(tree)
                     if name not in used)
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _references(node) -> Counter:
+    """How often each name is read under ``node``: bare, as an attribute or
+    in a ``from`` import."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_no_unused_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = sorted(
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and refs[node.name] <= _references(node)[node.name])
+    assert not unused, f"private definitions never used: {', '.join(unused)}"

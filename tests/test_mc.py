@@ -234,6 +234,36 @@ class TestCalibration:
                                        memo=memo) == expected
         assert memo == {}
 
+    @pytest.mark.parametrize("bins, power_control", [(1, POWER_CONTROL_ENSEMBLE),
+                                                     (2, POWER_CONTROL_TRIAL)])
+    def test_failing_chains_are_redone_row_by_row_on_the_built_factors(
+            self, monkeypatch, bins, power_control):
+        # every chain of more than one row fails: each row is chained from
+        # its piece's factors, which are built once, and the spectra keep their bits
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        args = (6, 20, bins, 2, mc._STREAM_TRIAL, [0.5, 1.0], [30, 17], power_control)
+        expected = mc._spectra(*args)
+        section_gains, haar_factors = mc._section_gains, mc._haar_factors
+        builds = []
+
+        def chains_fail(factors, g_db, power_control=POWER_CONTROL_ENSEMBLE):
+            if len(factors[1]) > 1:
+                raise np.linalg.LinAlgError("chain failure")
+            return section_gains(factors, g_db, power_control)
+
+        def counted(D, K, rngs):
+            builds.append(len(rngs))
+            return haar_factors(D, K, rngs)
+
+        monkeypatch.setattr(mc, "_section_gains", chains_fail)
+        monkeypatch.setattr(mc, "_haar_factors", counted)
+        spectra = mc._spectra(*args)
+        assert sorted(builds) == [15 * bins, 15 * bins]  # one build per piece
+        assert len(spectra) == len(expected)
+        for got, want in zip(spectra, expected):
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, want)
+
     def test_failure_reports_the_evaluations_made(self):
         # the seed and the Newton step, then two secant steps
         with pytest.raises(CalibrationError, match=r"in 4 evaluations"):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap.errors import QuadratureError, RootLocalizationError
+from sdmcap.errors import DegenerateDistributionError, QuadratureError, RootLocalizationError
 from sdmcap.numerics import (
     bisect,
     hermite,
     integrate,
     inverse_erf,
+    matched_sigma,
 )
 
 
@@ -50,6 +51,19 @@ class TestRootFinding:
     def test_bisect_cubic(self):
         root = bisect(lambda x: x**3 - 2.0, 0.0, 2.0)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("density, modes", [
+    (0.0, 1), (-0.0, 6), (-1e-300, 1), (-2.5, 6),
+    (1e-300, 1), (0.0517, 1), (0.0517, 6), (1.0, 8), (3.7, 100),
+])
+def test_matched_sigma(density, modes):
+    if density <= 0:
+        with pytest.raises(DegenerateDistributionError):
+            matched_sigma(density, modes)
+    else:
+        assert matched_sigma(density, modes) == 1.0 / (modes * math.sqrt(2.0 * math.pi)
+                                                       * density)
 
 
 class TestInverseErf:
