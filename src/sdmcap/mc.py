@@ -11,36 +11,40 @@ does not depend on the per-section gain: the Philox draws, the batched QR
 with its R-diagonal phase fix (of every section but the last, whose
 unitary cannot move the spectrum), and the unit-variance log-gain draws.
 ``_section_gains`` scales and centres the gains, chains the sections and
-takes the spectrum.  ``_spectra`` is the one chunk loop over them, used by
-calibration and the trial pass alike: it builds each chunk's factors once,
-chains them at every gain asked for, and isolates failures, redoing a
-piece whose build or chain raises row by row, each row from its own
-stream; a row that still fails is NaN.  Calibration measures such a gain
-as NaN, and the trial pass discards the row.
+takes the spectrum.  ``_spectra`` is the one pass over them, used by
+calibration and the trial pass alike.  Its unit of work is the build block,
+about 2^16 complex entries of draws (``_chunk_size``): it builds each
+block's factors once, chains them at every gain asked for and keeps only
+the spectra, so the pass holds about two blocks per worker plus the
+calibration memo, whatever its trial count.  It isolates failures, redoing a segment whose build or chain raises
+row by row, each row from its own stream; a row that still fails is NaN.
+Calibration measures such a gain as NaN, and the trial pass discards the
+row.
 
 ``run_ensembles`` is the one oracle path: it runs a grid of configs that
 differ only in sigma_mdg and SNR (same D, sections, seed, trials, frequency
 bins, power control and calibration settings) in one pass, and
 ``run_ensemble`` is its one-config case.  The factors do not depend on
-sigma_mdg, so each chunk is built once for the whole grid (common random
+sigma_mdg, so each block is built once for the whole grid (common random
 numbers across parameter values).  Calibration runs one iteration per
 sigma in lockstep: each round is one pass over the shared calibration
 sample that measures every pending gain, each over the leading trials its
 own pilot asked for.  Each iteration starts from the gain that the
 accumulated-MDG relation gives, so a sigma whose seed measures within
 tolerance takes one round; the others take a log-log Newton step and then
-secant steps.  The leading chunks of that sample, at most one chunk budget
-of complex entries, are held for the whole calibration; chunks beyond it
-are rebuilt once per round, and the held ones are dropped before the trial
+secant steps.  The leading blocks of that sample, at most ``_CHUNK_BUDGET``
+complex entries, are held for the whole calibration; blocks beyond it are
+rebuilt once per round, and the held ones are dropped before the trial
 pass.  Each result is bit-identical to a lone run of its config.
 
-Each chunk is cut into one contiguous trial range per CPU in the process's
-affinity mask; the caller runs the first range and a thread pool the
-others (numpy's draws, QR, matmul and eigen-solver release the interpreter
-lock).  The pieces return in trial order and every trial keeps its own
-stream, so results are bit-identical for any worker count; with one CPU,
-or a one-trial chunk, the chunk runs inline and no thread is started.
-BLAS thread settings are left as the user set them.
+Each pass is cut into one contiguous trial range per CPU in the process's
+affinity mask, which walks its blocks in turn; the caller runs the first
+range and a thread pool the others (numpy's draws, QR, matmul and
+eigen-solver release the interpreter lock).  Every trial keeps its own
+stream and writes its own rows, so results are bit-identical for any
+worker count and block size; with one CPU, or a one-trial pass, it runs
+inline and no thread is started.  BLAS thread settings are left as the
+user set them.
 
 Two power-control conventions are supported.  ``trial`` renormalizes every
 realization so the linear gains sum to exactly D; it keeps the per-trial
@@ -181,9 +185,10 @@ def _section_gains(factors, g_db: float, power_control=POWER_CONTROL_ENSEMBLE):
     if K == 1:
         h = amp[:, 0, :, None] * np.eye(D)
     else:
-        h = q[:, 0] * amp[:, 0, None, :]
+        scaled = q * amp[:, :-1, None, :]  # one product for all K - 1 sections
+        h = scaled[:, 0]
         for k in range(1, K - 1):
-            h = (q[:, k] * amp[:, k, None, :]) @ h
+            h = scaled[:, k] @ h
         h *= amp[:, K - 1, :, None]
     return _gains_from_channels(h, D, power_control)
 
@@ -209,11 +214,17 @@ def _chunked(lo: int, hi: int, size: int):
         lo = end
 
 
-_CHUNK_BUDGET = 4_000_000  # complex entries held at once
+_CHUNK_BUDGET = 4_000_000  # complex entries the calibration memo may hold
+_BLOCK_BUDGET = 1 << 16  # complex entries of draws one build block aims at
+_BLOCK_FLOOR = 8  # trials: the K-section chain stays batched
 
 
 def _chunk_size(D: int, K: int, bins: int) -> int:
-    return max(1, _CHUNK_BUDGET // max(1, K * D * D * bins))
+    """Trials per build block: about ``_BLOCK_BUDGET`` complex entries of
+    Ginibre draws, at least ``_BLOCK_FLOOR`` trials, and never more than
+    ``_CHUNK_BUDGET`` entries (nor fewer than one trial)."""
+    per_trial = K * D * D * bins
+    return max(1, min(_CHUNK_BUDGET // per_trial, max(_BLOCK_FLOOR, _BLOCK_BUDGET // per_trial)))
 
 
 def _worker_count() -> int:
@@ -274,19 +285,22 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
     each per-section gain ``gains_db[i]``: one (counts[i] * bins, D) array
     per gain, ``bins`` rows per trial in (trial, bin) order.
 
-    One pass over the trials: each piece of a chunk builds its
-    gain-independent factors once and chains them at every gain whose count
-    covers it.  A piece whose chain raises ``LinAlgError`` is chained row
-    by row from its factors, and one whose build raises is rebuilt row by
-    row, each row from its own stream; a row that still fails is NaN.
-    Overflow in the chain is not reported: its rows come out non-finite or
-    non-positive, and the caller handles them.
+    One map over the trials: each worker's contiguous range walks its build
+    blocks (``_chunk_size`` trials, cut at its multiples).  A block takes
+    its gain-independent factors from the memo or builds them, chains them
+    at every gain whose count covers it and keeps only the spectra, so a
+    worker holds the factors of its current block and of the last one.
+    Held and fresh segments of a block are chained one at a time.  A segment whose chain raises
+    ``LinAlgError`` is chained row by row from its factors, and one whose
+    build raises is rebuilt row by row, each row from its own stream; a row
+    that still fails is NaN.  Overflow in the chain is not reported: its
+    rows come out non-finite or non-positive, and the caller handles them.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
     bins, seed and stream.  It keeps the factors of the leading trials,
-    keyed by trial range: those of the whole chunks from trial 0 that fit
-    in one chunk budget of complex entries, up to the first chunk whose
-    build failed.  Trials beyond them are rebuilt on every call."""
+    keyed by trial range: those of the whole blocks from trial 0 that fit
+    in ``_CHUNK_BUDGET`` complex entries, up to the first block whose build
+    failed.  Trials beyond them are rebuilt on every call."""
     size = _chunk_size(D, K, bins)
     held = {} if memo is None else memo
     if memo is None:
@@ -295,6 +309,8 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
         hold_below = math.inf
     else:
         hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
+    top = max((b for _, b in held), default=0)  # the memo holds trials [0, top)
+    spectra = [np.empty((n * bins, D)) for n in counts]
 
     def chain(factors, g_db, lo, hi):
         rows = (hi - lo) * bins
@@ -318,37 +334,51 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
                     pass
             return lam
 
-    def piece(lo, hi):
-        # the factors of trials [lo, hi): the held ones, which are those of
-        # trials [0, top), then those built afresh (None if that fails)
-        parts = [tuple(f[(max(lo, a) - a) * bins:(min(hi, b) - a) * bins] for f in factors)
-                 for (a, b), factors in held.items() if a < hi and lo < b]
-        top = max((b for _, b in held), default=0)
-        fresh = {}
-        try:
-            if top < hi:
-                a = max(lo, top)
-                fresh[a, hi] = _haar_factors(D, K, [_rng(seed, stream, t, b)
-                                                    for t in range(a, hi) for b in range(bins)])
-                parts.append(fresh[a, hi])
-            factors = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-        except np.linalg.LinAlgError:
-            fresh = factors = None
-        return fresh, {i: chain(factors, g, lo, min(hi, n))
-                       for i, (g, n) in enumerate(zip(gains_db, counts)) if lo < n}
+    def block(a, b, kept):
+        # chains trials [a, b) of one block at every gain whose count covers
+        # them, segment by segment: the held ones, then one built afresh,
+        # which goes into ``kept`` below the hold limit.  Returns the fresh
+        # factors: None if their build failed, () if the memo held them all.
+        segments = [((max(a, p), min(b, q)),
+                     tuple(f[(max(a, p) - p) * bins:(min(b, q) - p) * bins] for f in factors))
+                    for (p, q), factors in held.items() if p < b and a < q]
+        fresh = ()
+        if top < b:
+            p = max(a, top)
+            try:
+                fresh = _haar_factors(D, K, [_rng(seed, stream, t, j)
+                                             for t in range(p, b) for j in range(bins)])
+            except np.linalg.LinAlgError:
+                fresh = None
+            else:
+                if b <= hold_below:
+                    kept[p, b] = fresh
+            segments.append(((p, b), fresh))
+        for (p, q), factors in segments:
+            for i, (g, n) in enumerate(zip(gains_db, counts)):
+                if p < n:
+                    spectra[i][p * bins:min(q, n) * bins] = chain(factors, g, p, min(q, n))
+        return fresh
 
-    spectra = [[] for _ in gains_db]
-    for lo, hi in _chunked(0, max(counts, default=0), size):
-        pieces = _map_pieces(piece, lo, hi)
-        if hi <= hold_below and all(fresh is not None for fresh, _ in pieces):
-            for fresh, _ in pieces:
-                held.update(fresh)
-        else:
-            hold_below = min(hold_below, lo)
-        for _, lams in pieces:
-            for i, lam in lams.items():
-                spectra[i].append(lam)
-    return [np.concatenate(parts) for parts in spectra]
+    def piece(lo, hi):
+        # the fresh factors of blocks below the hold limit, and the start of
+        # the first block whose build failed
+        kept, failed = {}, math.inf
+        for a, b in _chunked(lo, hi, size):
+            # the last block's factors are freed only once this block's are
+            # built, so malloc reuses their memory: freed first, it went
+            # back to the OS and every block faulted it in afresh (4.7 times
+            # the page faults at D = 6, K = 100)
+            last = block(a, b, kept)
+            if last is None:
+                failed = min(failed, a - a % size)
+        return kept, failed
+
+    pieces = _map_pieces(piece, 0, max(counts, default=0))
+    hold_below = min(hold_below, *(failed for _, failed in pieces))
+    for kept, _ in pieces:
+        held.update((k, f) for k, f in kept.items() if k[1] <= hold_below)
+    return spectra
 
 
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
@@ -515,7 +545,7 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
 
     The iterations run in lockstep: a round measures every pending gain in
     one pass over the shared calibration sample.  Its Haar factors and unit
-    gain draws are built once per call within the chunk budget and once per
+    gain draws are built once per call within ``_CHUNK_BUDGET`` and once per
     round beyond it.  Each gain is the one a lone call for its target would
     return.
 
@@ -599,12 +629,12 @@ def run_ensembles(configs) -> list:
     The configs may differ in sigma_mdg and SNR only; they must share D,
     sections, seed, trials, frequency bins, power control and calibration
     settings, else ``ValueError``.  The calibrations run in lockstep on one
-    calibration sample, and each trial chunk's gain-independent factors are
+    calibration sample, and each trial block's gain-independent factors are
     built once and chained at every config's calibrated gain, so each
     result is bit-identical to a lone ``run_ensemble`` of its config.
 
     Per-trial randomness depends only on (seed, trial index, bin index), so
-    the results are bit-identical regardless of chunking or scheduling.
+    the results are bit-identical regardless of block size or scheduling.
     When more than one frequency bin is requested, each trial averages the
     per-bin totals (and per-mode values) over independent channel draws.
     """

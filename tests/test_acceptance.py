@@ -6,7 +6,6 @@ than recomputed, so regressions in any layer surface as explicit value
 mismatches.
 """
 
-import json
 import math
 import os
 import subprocess

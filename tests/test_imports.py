@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no private
-module-level function or class goes unused.
+"""No module of the package or of its tests imports a name it never uses,
+and no private module-level function or class of the package goes unused.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
@@ -17,6 +17,7 @@ import pytest
 import sdmcap
 
 MODULES = sorted(Path(sdmcap.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _module_imports(tree):
@@ -44,7 +45,7 @@ def _exported(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {node.id for node in ast.walk(tree)

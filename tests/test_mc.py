@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -454,13 +455,25 @@ def _held_trials(memo):
     return sorted(t for lo, hi in memo for t in range(lo, hi))
 
 
+# every worker count with the default build block (id: the count alone)
+# and with blocks of 1 and 7 trials
+WORKERS_AND_BLOCKS = [pytest.param(w, b, id=str(w) if b is None else f"{w}-block{b}")
+                      for w in (1, 2, 3) for b in (None, 1, 7)]
+
+
+def _set_block(monkeypatch, block):
+    """Build blocks of ``block`` trials; None keeps the default size."""
+    if block is not None:
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: block)
+
+
 class TestBitExactness:
     """Gains and report digests frozen from one run of the model-seeded
     calibration on samples sized by their standard error, with the last
-    section's unitary left out of the chain.  Chunking, the calibration
-    memo and the worker count must not move a bit of them.  The digests belong to one numpy/LAPACK build:
-    another build may round the QR or eigenvalues differently and needs
-    them recorded afresh."""
+    section's unitary left out of the chain.  The build block size, the
+    calibration memo and the worker count must not move a bit of them.
+    The digests belong to one numpy/LAPACK build: another build may round
+    the QR or eigenvalues differently and needs them recorded afresh."""
 
     def test_d20_k5(self):
         res = run_ensemble(McConfig(ChannelSpec(20, 10.0, 5.0), sections=5,
@@ -515,9 +528,10 @@ class TestBitExactness:
         held = 45 if budget_chunks is None else budget_chunks * 10
         assert _held_trials(memo) == list(range(held))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_digests_hold_for_any_worker_count(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers, block", WORKERS_AND_BLOCKS)
+    def test_digests_hold_for_any_worker_count(self, monkeypatch, workers, block):
         monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        _set_block(monkeypatch, block)
         self.test_d20_k5()
         self.test_d6_k100_trial_power_control()
         self.test_memo_budget_exceeded(monkeypatch)
@@ -546,11 +560,12 @@ def _rebuilt_chunks(monkeypatch, D=4, K=100):
 class TestRunEnsembles:
     """One oracle pass over a sigma grid equals a lone run of each member."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers, block", WORKERS_AND_BLOCKS)
     @pytest.mark.parametrize("case", ["d20_k5", "d6_k100_trial_2_bins",
                                       "d4_k100_rebuilt_chunks"])
-    def test_each_member_equals_a_lone_run(self, monkeypatch, case, workers):
+    def test_each_member_equals_a_lone_run(self, monkeypatch, case, workers, block):
         monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        _set_block(monkeypatch, block)
         if case == "d4_k100_rebuilt_chunks":
             _rebuilt_chunks(monkeypatch)
         configs = _grid(case)
@@ -772,18 +787,40 @@ class TestCalibrationMemo:
         assert _held_trials(memo) == list(range(3 * chunk))
 
     def test_memo_holds_at_most_one_chunk_budget(self):
-        # D = 40, K = 100: 25 trials fill the budget; the 26th is rebuilt
+        # D = 40, K = 100: 25 trials fill the budget, so it holds three
+        # whole 8-trial blocks; trials 24 and 25 are rebuilt
         memo = {}
         mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=26, memo=memo)
         held = sum(q.size for q, _ in memo.values())
-        assert _held_trials(memo) == list(range(25))
-        assert held == 25 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
+        assert _held_trials(memo) == list(range(24))
+        assert held == 24 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
 
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
         memo = {}
         mc.measure_ensemble_std(6, 20, [0.5], seed=0, trials=3, memo=memo)
         assert memo == {}
+
+
+def test_trial_pass_memory_does_not_grow_with_its_trials(monkeypatch):
+    # D = 6, K = 100: a worker holds a block or two whatever its trial
+    # count, so ten times the trials peak higher only by the larger output
+    monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+    D, K = 6, 100
+
+    def peak(trials):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mc._spectra(D, K, 1, 0, mc._STREAM_TRIAL, [0.5], [trials], POWER_CONTROL_ENSEMBLE)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(40)  # warm-up
+        small, large = peak(40), peak(400)
+    finally:
+        tracemalloc.stop()
+    assert large <= small + (400 - 40) * D * 8 + (64 << 10)
 
 
 def _trial_gains(K, g_db, trial, power_control=POWER_CONTROL_TRIAL):

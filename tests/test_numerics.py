@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap.errors import DegenerateDistributionError, QuadratureError, RootLocalizationError
+from sdmcap.errors import DegenerateDistributionError, QuadratureError
 from sdmcap.numerics import (
     bisect,
     hermite,
