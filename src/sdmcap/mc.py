@@ -3,8 +3,8 @@
 Channels are products of per-section blocks (Haar unitary x diagonal random
 log-gain); per-section gain is calibrated empirically so the ensemble
 log-gain deviation hits the target sigma_mdg.  Every trial draws its
-randomness from a counter-based Philox stream keyed by (seed, stream kind,
-trial index, bin index), so results are independent of execution order.
+randomness from a counter-based Philox stream keyed by (seed, trial index,
+bin index), so results are independent of execution order.
 
 The trial kernel has two parts.  ``_haar_factors`` holds everything that
 does not depend on the per-section gain: the Philox draws, the batched QR
@@ -16,26 +16,29 @@ calibration and the trial pass alike.  Its unit of work is the build block,
 about 2^16 complex entries of draws (``_chunk_size``): it builds each
 block's factors once, chains them at every gain asked for and keeps only
 the spectra, so the pass holds about two blocks per worker plus the
-calibration memo, whatever its trial count.  It isolates failures, redoing a segment whose build or chain raises
-row by row, each row from its own stream; a row that still fails is NaN.
-Calibration measures such a gain as NaN, and the trial pass discards the
-row.
+calibration memo, whatever its trial count.  It isolates failures,
+redoing a segment whose build or chain raises row by row, each row from
+its own stream; a row that still fails is NaN.  Calibration measures such
+a gain as NaN, and the trial pass discards the row.
 
 ``run_ensembles`` is the one oracle path: it runs a grid of configs that
 differ only in sigma_mdg and SNR (same D, sections, seed, trials, frequency
 bins, power control and calibration settings) in one pass, and
 ``run_ensemble`` is its one-config case.  The factors do not depend on
 sigma_mdg, so each block is built once for the whole grid (common random
-numbers across parameter values).  Calibration runs one iteration per
-sigma in lockstep: each round is one pass over the shared calibration
+numbers across parameter values).  Calibration measures on the leading
+trials of the trial stream itself, with all their frequency bins, and runs
+one iteration per sigma in lockstep: each round is one pass over that
 sample that measures every pending gain, each over the leading trials its
 own pilot asked for.  Each iteration starts from the gain that the
 accumulated-MDG relation gives, so a sigma whose seed measures within
 tolerance takes one round; the others take a log-log Newton step and then
-secant steps.  The leading blocks of that sample, at most ``_CHUNK_BUDGET``
-complex entries, are held for the whole calibration; blocks beyond it are
-rebuilt once per round, and the held ones are dropped before the trial
-pass.  Each result is bit-identical to a lone run of its config.
+secant steps.  The leading blocks of the sample, at most ``_CHUNK_BUDGET``
+complex entries, are held from the first round to the end of the trial
+pass; blocks beyond it are rebuilt once per round.  A sigma's last
+calibration measurement is at its returned gain, over its n calibration
+trials, so the trial pass takes trials [0, n) from it and chains only the
+trials beyond.  Each result is bit-identical to a lone run of its config.
 
 Each pass is cut into one contiguous trial range per CPU in the process's
 affinity mask, which walks its blocks in turn; the caller runs the first
@@ -71,8 +74,7 @@ import numpy as np
 from .channel import ChannelSpec
 from .errors import CalibrationError, EnsembleError, SdmCapError
 
-_STREAM_TRIAL = 0
-_STREAM_CALIBRATION = 1
+_STREAM_TRIAL = 0  # the stream kind of every spawn key
 
 POWER_CONTROL_TRIAL = "trial"
 POWER_CONTROL_ENSEMBLE = "ensemble"
@@ -129,8 +131,8 @@ class McEnsembleResult:
     cap_samples: np.ndarray = field(default=None, repr=False)
 
 
-def _rng(seed: int, stream: int, trial: int, bin_index: int = 0):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, trial, bin_index))
+def _rng(seed: int, trial: int, bin_index: int = 0):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_TRIAL, trial, bin_index))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -279,54 +281,55 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
     return [first, *(f.result() for f in others)]
 
 
-def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts,
-             power_control: str, memo: dict | None = None) -> list:
-    """Sorted linear gains of trials [0, counts[i]) of one stream kind at
-    each per-section gain ``gains_db[i]``: one (counts[i] * bins, D) array
-    per gain, ``bins`` rows per trial in (trial, bin) order.
+def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
+             power_control: str, memo: dict | None = None, grow: bool = True) -> list:
+    """Sorted linear gains of trials [starts[i], counts[i]) at each
+    per-section gain ``gains_db[i]``: one ((counts[i] - starts[i]) * bins, D)
+    array per gain, ``bins`` rows per trial in (trial, bin) order.
 
-    One map over the trials: each worker's contiguous range walks its build
-    blocks (``_chunk_size`` trials, cut at its multiples).  A block takes
-    its gain-independent factors from the memo or builds them, chains them
-    at every gain whose count covers it and keeps only the spectra, so a
-    worker holds the factors of its current block and of the last one.
-    Held and fresh segments of a block are chained one at a time.  A segment whose chain raises
+    One map over trials [min(starts), max(counts)): each worker's
+    contiguous range walks its build blocks (``_chunk_size`` trials, cut at
+    its multiples).  A block takes its gain-independent factors from the
+    memo or builds them, chains them at every gain whose range covers it
+    and keeps only the spectra, so a worker holds the factors of its
+    current block and of the last one.  Held and fresh segments of a block
+    are chained one at a time.  A segment whose chain raises
     ``LinAlgError`` is chained row by row from its factors, and one whose
     build raises is rebuilt row by row, each row from its own stream; a row
     that still fails is NaN.  Overflow in the chain is not reported: its
     rows come out non-finite or non-positive, and the caller handles them.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
-    bins, seed and stream.  It keeps the factors of the leading trials,
-    keyed by trial range: those of the whole blocks from trial 0 that fit
-    in ``_CHUNK_BUDGET`` complex entries, up to the first block whose build
-    failed.  Trials beyond them are rebuilt on every call."""
+    bins and seed.  It keeps the factors of the leading trials, keyed by
+    trial range: those of the whole blocks from trial 0 that fit in
+    ``_CHUNK_BUDGET`` complex entries, up to the first block whose build
+    failed.  Trials beyond them are rebuilt on every call.  With ``grow``
+    false the call reads the memo but adds no block to it."""
     size = _chunk_size(D, K, bins)
     held = {} if memo is None else memo
-    if memo is None:
+    if memo is None or not grow:
         hold_below = 0
     elif K == 1:  # no unitaries to hold
         hold_below = math.inf
     else:
         hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
     top = max((b for _, b in held), default=0)  # the memo holds trials [0, top)
-    spectra = [np.empty((n * bins, D)) for n in counts]
+    spectra = [np.empty(((n - s) * bins, D)) for s, n in zip(starts, counts)]
 
     def chain(factors, g_db, lo, hi):
-        rows = (hi - lo) * bins
+        # the spectra of trials [lo, hi) from their factors, or rebuilt row
+        # by row when ``factors`` is None (their build failed)
         with np.errstate(over="ignore", invalid="ignore"):
             if factors is not None:
                 try:
-                    return _section_gains(tuple(f[:rows] for f in factors),
-                                          g_db, power_control)
+                    return _section_gains(factors, g_db, power_control)
                 except np.linalg.LinAlgError:
                     pass
-            lam = np.full((rows, D), np.nan)
-            for row in range(rows):
+            lam = np.full(((hi - lo) * bins, D), np.nan)
+            for row in range(len(lam)):
                 try:
                     if factors is None:
-                        one = _haar_factors(D, K, [_rng(seed, stream, lo + row // bins,
-                                                        row % bins)])
+                        one = _haar_factors(D, K, [_rng(seed, lo + row // bins, row % bins)])
                     else:
                         one = tuple(f[row:row + 1] for f in factors)
                     lam[row] = _section_gains(one, g_db, power_control)[0]
@@ -335,7 +338,7 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
             return lam
 
     def block(a, b, kept):
-        # chains trials [a, b) of one block at every gain whose count covers
+        # chains trials [a, b) of one block at every gain whose range covers
         # them, segment by segment: the held ones, then one built afresh,
         # which goes into ``kept`` below the hold limit.  Returns the fresh
         # factors: None if their build failed, () if the memo held them all.
@@ -346,7 +349,7 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
         if top < b:
             p = max(a, top)
             try:
-                fresh = _haar_factors(D, K, [_rng(seed, stream, t, j)
+                fresh = _haar_factors(D, K, [_rng(seed, t, j)
                                              for t in range(p, b) for j in range(bins)])
             except np.linalg.LinAlgError:
                 fresh = None
@@ -355,9 +358,12 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
                     kept[p, b] = fresh
             segments.append(((p, b), fresh))
         for (p, q), factors in segments:
-            for i, (g, n) in enumerate(zip(gains_db, counts)):
-                if p < n:
-                    spectra[i][p * bins:min(q, n) * bins] = chain(factors, g, p, min(q, n))
+            for i, (g, s, n) in enumerate(zip(gains_db, starts, counts)):
+                lo, hi = max(p, s), min(q, n)
+                if lo < hi:
+                    rows = None if factors is None else tuple(
+                        f[(lo - p) * bins:(hi - p) * bins] for f in factors)
+                    spectra[i][(lo - s) * bins:(hi - s) * bins] = chain(rows, g, lo, hi)
         return fresh
 
     def piece(lo, hi):
@@ -374,7 +380,7 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
                 failed = min(failed, a - a % size)
         return kept, failed
 
-    pieces = _map_pieces(piece, 0, max(counts, default=0))
+    pieces = _map_pieces(piece, min(starts, default=0), max(counts, default=0))
     hold_below = min(hold_below, *(failed for _, failed in pieces))
     for kept, _ in pieces:
         held.update((k, f) for k, f in kept.items() if k[1] <= hold_below)
@@ -382,13 +388,14 @@ def _spectra(D: int, K: int, bins: int, seed: int, stream: int, gains_db, counts
 
 
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
-                         power_control: str = POWER_CONTROL_ENSEMBLE,
-                         memo: dict | None = None, rel_se: list | None = None) -> list:
+                         power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
+                         memo: dict | None = None, rel_se: list | None = None,
+                         spectra: list | None = None) -> list:
     """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
-    ``gains_db``, over the leading realizations of the calibration stream,
-    so repeated calls with the same seed see the same underlying
-    randomness.  ``trials`` is one count for every gain or one count per
-    gain: gain i is measured over trials [0, trials[i]).
+    ``gains_db``, over the leading trials of the trial stream, each with
+    its ``bins`` frequency bins, so repeated calls with the same seed see
+    the same underlying randomness.  ``trials`` is one count for every gain
+    or one count per gain: gain i is measured over trials [0, trials[i]).
 
     The spectra come from one ``_spectra`` pass, whose ``memo`` this passes
     on.  The requested power control is applied before measuring (the
@@ -399,33 +406,38 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
 
     ``rel_se``, if given, is extended with one relative standard error of
     the std per gain (``_relative_se``; None for a gain of 0 or a NaN
-    measurement)."""
+    measurement), and ``spectra`` with the (trials[i] * bins, D) spectra
+    each gain was measured on (None for a gain of 0)."""
     counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
     live = [i for i, g in enumerate(gains_db) if g != 0.0]
-    spectra = _spectra(D, K, 1, seed, _STREAM_CALIBRATION, [gains_db[i] for i in live],
-                       [counts[i] for i in live], power_control, memo)
+    lams = _spectra(D, K, bins, seed, [gains_db[i] for i in live], [0] * len(live),
+                    [counts[i] for i in live], power_control, memo)
     stds = [0.0] * len(gains_db)
     ses = [None] * len(gains_db)
+    measured = [None] * len(gains_db)
     # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, lam in zip(live, spectra):
+        for i, lam in zip(live, lams):
+            measured[i] = lam
             pooled = 10.0 * np.log10(lam)
             stds[i] = float(pooled.ravel().std(ddof=1))
             if rel_se is not None and math.isfinite(stds[i]):
                 ses[i] = _relative_se(pooled)
     if rel_se is not None:
         rel_se.extend(ses)
+    if spectra is not None:
+        spectra.extend(measured)
     return stds
 
 
-_PILOT_TRIALS = 64  # leading calibration trials that size each sigma's sample
+_PILOT_TRIALS = 64  # leading trials that size each sigma's calibration sample
 
 
 def _relative_se(pooled) -> float | None:
-    """Relative standard error of the pooled std of ``pooled`` (trials, D),
-    by the delta method over each trial's mean and mean square, with the
-    trial as the independent unit (the D values of one trial repel); None
-    for fewer than two trials."""
+    """Relative standard error of the pooled std of ``pooled`` (rows, D),
+    by the delta method over each row's mean and mean square, with the row
+    as the independent unit: the D values of one row repel, and each
+    (trial, bin) row has its own stream.  None for fewer than two rows."""
     if len(pooled) < 2:
         return None
     x = pooled - pooled.mean()
@@ -520,7 +532,8 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
 
 def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
                            tol: float = 0.01, max_iter: int = 50,
-                           power_control: str = POWER_CONTROL_ENSEMBLE) -> tuple:
+                           power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
+                           memo: dict | None = None, spectra: dict | None = None) -> tuple:
     """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
     in ``targets``, in order, and the size of each target's sample.
 
@@ -530,10 +543,12 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     numbers across iterations make the objective a deterministic smooth
     function of the per-section gain.
 
-    Each target's sample is as large as its own standard error needs, and
-    never larger than ``trials_cal``.  Its measurements run on a pilot, the
-    first n_pilot = min(_PILOT_TRIALS, trials_cal) trials, until one comes
-    out finite.  That one fixes the target's sample at
+    The sample is the leading trials of the trial stream, each with its
+    ``bins`` frequency bins.  Each target's sample is as large as its own
+    standard error needs, and never larger than ``trials_cal``.  Its
+    measurements run on a pilot, the first n_pilot = min(_PILOT_TRIALS,
+    trials_cal) trials, until one comes out finite.  That one fixes the
+    target's sample at
 
         n = clamp(ceil(n_pilot (se / (tol / 2))^2), n_pilot, trials_cal)
 
@@ -541,19 +556,22 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     std (``_relative_se``).  If n > n_pilot the gain stays pending and is
     measured again over the n trials in the next round; every later
     measurement is made over trials [0, n).  So n depends only on the
-    target's own pilot.
+    target's own pilot, and the returned gain was last measured over
+    trials [0, n).
 
     The iterations run in lockstep: a round measures every pending gain in
-    one pass over the shared calibration sample.  Its Haar factors and unit
-    gain draws are built once per call within ``_CHUNK_BUDGET`` and once per
-    round beyond it.  Each gain is the one a lone call for its target would
-    return.
+    one pass over the shared sample.  Its Haar factors and unit gain draws
+    are built once per call within ``_CHUNK_BUDGET`` and once per round
+    beyond it; ``memo``, if given, holds them for the caller (see
+    ``_spectra``).  Each gain is the one a lone call for its target would
+    return.  ``spectra``, if given, maps each target index but those of 0
+    to the (n * bins, D) spectra of its last measurement.
 
     Returns the gains and one (n, se) pair per target: the trials its
     sample used and the relative standard error of its pooled std at n
     trials, as the pilot estimates it.  That is at most tol / 2 whenever
     n < ``trials_cal``.  A target of 0 measures nothing, (0, None); se is
-    None too when the pilot has one trial."""
+    None too when the pilot has one row."""
     secants = [_secant(t, D, K, tol, max_iter) for t in targets]
     gains = [0.0] * len(secants)
     pending = {}  # secant index -> gain it waits to have measured
@@ -569,16 +587,18 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
         advance(i, None)
     n_pilot = min(_PILOT_TRIALS, trials_cal)
     sizes = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
-    memo = {}  # gain-independent factors, shared by every round
+    memo = {} if memo is None else memo  # gain-independent factors, shared by every round
     while pending:
         order = list(pending)
         gains_db = [pending[i] for i in order]
-        rel_se = []
+        rel_se, measured = [], []
         stds = measure_ensemble_std(D, K, gains_db, seed,
                                     [sizes[i][0] or n_pilot for i in order],
-                                    power_control=power_control, memo=memo,
-                                    rel_se=rel_se)
-        for i, g_db, std, se in zip(order, gains_db, stds, rel_se):
+                                    power_control=power_control, bins=bins, memo=memo,
+                                    rel_se=rel_se, spectra=measured)
+        for i, g_db, std, se, lam in zip(order, gains_db, stds, rel_se, measured):
+            if spectra is not None and lam is not None:
+                spectra[i] = lam
             if sizes[i][0] == 0 and g_db != 0.0 and math.isfinite(std):
                 need = math.inf if se is None else n_pilot * (se / (0.5 * tol)) ** 2
                 n = trials_cal if need >= trials_cal else max(n_pilot, math.ceil(need))
@@ -628,10 +648,14 @@ def run_ensembles(configs) -> list:
 
     The configs may differ in sigma_mdg and SNR only; they must share D,
     sections, seed, trials, frequency bins, power control and calibration
-    settings, else ``ValueError``.  The calibrations run in lockstep on one
-    calibration sample, and each trial block's gain-independent factors are
-    built once and chained at every config's calibrated gain, so each
-    result is bit-identical to a lone ``run_ensemble`` of its config.
+    settings, else ``ValueError``.  The calibrations run in lockstep on the
+    leading trials of the trial stream (``calibrate_section_gain``), whose
+    memo lives through the trial pass.  Each config's trials [0, n) are the
+    spectra its calibration last measured at its gain, over its n
+    calibration trials; the trial pass chains the rest, trials [n, trials),
+    building each block's gain-independent factors once (unless the memo
+    holds them) for every config's calibrated gain.  So each result is
+    bit-identical to a lone ``run_ensemble`` of its config.
 
     Per-trial randomness depends only on (seed, trial index, bin index), so
     the results are bit-identical regardless of block size or scheduling.
@@ -651,19 +675,26 @@ def run_ensembles(configs) -> list:
     N = first.spec.freq_bins
     pc = first.power_control
 
+    T = first.trials
+    memo, measured = {}, {}  # calibration's held factors and last spectra, for the trial pass
     gains, sizes = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
                                           first.calibration_trials, first.seed,
-                                          first.calibration_tol, power_control=pc)
+                                          first.calibration_tol, power_control=pc, bins=N,
+                                          memo=memo, spectra=measured)
     live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
-    lam_all = [np.ones((first.trials, N, D)) for _ in configs]
+    reused = [min(sizes[i][0], T) for i in live]
+    # the trial pass reads no held block below the first trial it chains
+    memo = {k: f for k, f in memo.items() if k[1] > min(reused, default=T)}
+    lam_all = [np.ones((T, N, D)) for _ in configs]
     discarded = [[] for _ in configs]
-    spectra = _spectra(D, K, N, first.seed, _STREAM_TRIAL, [gains[i] for i in live],
-                       [first.trials] * len(live), pc)
-    for i, lam in zip(live, spectra):
+    spectra = _spectra(D, K, N, first.seed, [gains[i] for i in live], reused,
+                       [T] * len(live), pc, memo, grow=False)
+    for i, m, rest in zip(live, reused, spectra):
+        lam = np.concatenate([measured[i][:m * N], rest])
         # a (trial, bin) whose spectrum failed or is not positive and finite
         bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
         discarded[i] = (np.flatnonzero(bad) // N).tolist()
-        lam_all[i] = lam.reshape(first.trials, N, D)
+        lam_all[i] = lam.reshape(T, N, D)
 
     return [_aggregate(*args) for args in zip(configs, gains, sizes, lam_all, discarded)]
 

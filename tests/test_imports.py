@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and no private module-level function or class of the package goes unused.
+and no private module-level function, class or assigned name of the
+package goes unused.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
@@ -70,13 +71,28 @@ def _references(node) -> Counter:
     return refs
 
 
+def _private_definitions(tree):
+    """(name, node) of each private function, class or assigned name at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [sub.id for target in targets for sub in ast.walk(target)
+                     if isinstance(sub, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
 def test_no_unused_private_definitions():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     unused = sorted(
-        f"{module}: {node.name} (line {node.lineno})"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and refs[node.name] <= _references(node)[node.name])
+        f"{module}: {name} (line {node.lineno})"
+        for module, tree in trees.items() for name, node in _private_definitions(tree)
+        if refs[name] <= _references(node)[name])
     assert not unused, f"private definitions never used: {', '.join(unused)}"
