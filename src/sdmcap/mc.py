@@ -30,10 +30,15 @@ numbers across parameter values).  Calibration measures on the leading
 trials of the trial stream itself, with all their frequency bins, and runs
 one iteration per sigma in lockstep: each round is one pass over that
 sample that measures every pending gain, each over the leading trials its
-own pilot asked for.  Each iteration starts from the gain that the
-accumulated-MDG relation gives, so a sigma whose seed measures within
-tolerance takes one round; the others take a log-log Newton step and then
-secant steps.  The leading blocks of the sample, at most ``_CHUNK_BUDGET``
+own pilot asked for.  Each measurement estimates the pooled std with a
+control variate drawn from the same random numbers: each row's squared
+deviations of its unit log-gain draws from their section means, summed
+over the sections, whose mean K (D - 1) is exact.  On links of few
+sections it tracks the row's spread of the spectrum closely, so a small
+sample meets the standard-error target.  Each iteration starts from the
+gain that the accumulated-MDG relation gives, so a sigma whose seed
+measures within tolerance takes one round; the others take a log-log
+Newton step and then secant steps.  The leading blocks of the sample, at most ``_CHUNK_BUDGET``
 complex entries, are held from the first round to the end of the trial
 pass; blocks beyond it are rebuilt once per round.  A sigma's last
 calibration measurement is at its returned gain, over its n calibration
@@ -195,6 +200,16 @@ def _section_gains(factors, g_db: float, power_control=POWER_CONTROL_ENSEMBLE):
     return _gains_from_channels(h, D, power_control)
 
 
+def _control(unit):
+    """Each row's control variate: the squared deviations of its unit
+    log-gain draws (B, K, D) from their section means, summed over all K
+    sections.  Each section's sum is chi^2 with D - 1 degrees of freedom, so
+    the control's mean is exactly K (D - 1), and it does not depend on the
+    per-section gain."""
+    dev = unit - unit.mean(axis=-1, keepdims=True)
+    return (dev * dev).sum(axis=-1).sum(axis=-1)
+
+
 def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
     """Sorted power gains (linear) per channel in the batch.
 
@@ -284,20 +299,23 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
 def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
              power_control: str, memo: dict | None = None, grow: bool = True) -> list:
     """Sorted linear gains of trials [starts[i], counts[i]) at each
-    per-section gain ``gains_db[i]``: one ((counts[i] - starts[i]) * bins, D)
-    array per gain, ``bins`` rows per trial in (trial, bin) order.
+    per-section gain ``gains_db[i]``, and each row's control (``_control``):
+    a list of one ((counts[i] - starts[i]) * bins, D) array per gain and a
+    list of one matching array of controls, ``bins`` rows per trial in
+    (trial, bin) order.
 
     One map over trials [min(starts), max(counts)): each worker's
     contiguous range walks its build blocks (``_chunk_size`` trials, cut at
     its multiples).  A block takes its gain-independent factors from the
     memo or builds them, chains them at every gain whose range covers it
-    and keeps only the spectra, so a worker holds the factors of its
-    current block and of the last one.  Held and fresh segments of a block
-    are chained one at a time.  A segment whose chain raises
+    and keeps only the spectra and controls, so a worker holds the factors
+    of its current block and of the last one.  Held and fresh segments of a
+    block are chained one at a time.  A segment whose chain raises
     ``LinAlgError`` is chained row by row from its factors, and one whose
-    build raises is rebuilt row by row, each row from its own stream; a row
-    that still fails is NaN.  Overflow in the chain is not reported: its
-    rows come out non-finite or non-positive, and the caller handles them.
+    build raises is rebuilt row by row, each row from its own stream, which
+    also gives its control; a row that still fails is NaN.  Overflow in the
+    chain is not reported: its rows come out non-finite or non-positive,
+    and the caller handles them.
 
     ``memo`` is a dict the caller keeps across calls with the same D, K,
     bins and seed.  It keeps the factors of the leading trials, keyed by
@@ -315,27 +333,32 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
         hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
     top = max((b for _, b in held), default=0)  # the memo holds trials [0, top)
     spectra = [np.empty(((n - s) * bins, D)) for s, n in zip(starts, counts)]
+    controls = [np.empty((n - s) * bins) for s, n in zip(starts, counts)]
 
     def chain(factors, g_db, lo, hi):
-        # the spectra of trials [lo, hi) from their factors, or rebuilt row
-        # by row when ``factors`` is None (their build failed)
+        # the spectra and controls of trials [lo, hi) from their factors, or
+        # rebuilt row by row when ``factors`` is None (their build failed)
         with np.errstate(over="ignore", invalid="ignore"):
             if factors is not None:
+                control = _control(factors[1])
                 try:
-                    return _section_gains(factors, g_db, power_control)
+                    return _section_gains(factors, g_db, power_control), control
                 except np.linalg.LinAlgError:
                     pass
+            else:
+                control = np.full((hi - lo) * bins, np.nan)
             lam = np.full(((hi - lo) * bins, D), np.nan)
             for row in range(len(lam)):
                 try:
                     if factors is None:
                         one = _haar_factors(D, K, [_rng(seed, lo + row // bins, row % bins)])
+                        control[row] = _control(one[1])[0]
                     else:
                         one = tuple(f[row:row + 1] for f in factors)
                     lam[row] = _section_gains(one, g_db, power_control)[0]
                 except np.linalg.LinAlgError:
                     pass
-            return lam
+            return lam, control
 
     def block(a, b, kept):
         # chains trials [a, b) of one block at every gain whose range covers
@@ -363,7 +386,8 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
                 if lo < hi:
                     rows = None if factors is None else tuple(
                         f[(lo - p) * bins:(hi - p) * bins] for f in factors)
-                    spectra[i][(lo - s) * bins:(hi - s) * bins] = chain(rows, g, lo, hi)
+                    out = slice((lo - s) * bins, (hi - s) * bins)
+                    spectra[i][out], controls[i][out] = chain(rows, g, lo, hi)
         return fresh
 
     def piece(lo, hi):
@@ -384,7 +408,7 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
     hold_below = min(hold_below, *(failed for _, failed in pieces))
     for kept, _ in pieces:
         held.update((k, f) for k, f in kept.items() if k[1] <= hold_below)
-    return spectra
+    return spectra, controls
 
 
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
@@ -397,32 +421,30 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
     the same underlying randomness.  ``trials`` is one count for every gain
     or one count per gain: gain i is measured over trials [0, trials[i]).
 
-    The spectra come from one ``_spectra`` pass, whose ``memo`` this passes
-    on.  The requested power control is applied before measuring (the
-    deterministic ensemble-level gain has no effect on the std, so the
-    ensemble mode measures the raw spectrum).  A gain of 0 measures exactly
-    0; a non-positive, non-finite or failed spectrum makes the measurement
-    NaN.
+    The spectra and their rows' controls come from one ``_spectra`` pass,
+    whose ``memo`` this passes on, and each std is estimated with the
+    control (``_pooled_std``).  The requested power control is applied
+    before measuring (the deterministic ensemble-level gain has no effect on
+    the std, so the ensemble mode measures the raw spectrum).  A gain of 0
+    measures exactly 0; a non-positive, non-finite or failed spectrum makes
+    the measurement NaN.
 
     ``rel_se``, if given, is extended with one relative standard error of
-    the std per gain (``_relative_se``; None for a gain of 0 or a NaN
-    measurement), and ``spectra`` with the (trials[i] * bins, D) spectra
-    each gain was measured on (None for a gain of 0)."""
+    the std per gain (None for a gain of 0 or a NaN measurement), and
+    ``spectra`` with the (trials[i] * bins, D) spectra each gain was
+    measured on (None for a gain of 0)."""
     counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
     live = [i for i, g in enumerate(gains_db) if g != 0.0]
-    lams = _spectra(D, K, bins, seed, [gains_db[i] for i in live], [0] * len(live),
-                    [counts[i] for i in live], power_control, memo)
+    lams, controls = _spectra(D, K, bins, seed, [gains_db[i] for i in live], [0] * len(live),
+                              [counts[i] for i in live], power_control, memo)
     stds = [0.0] * len(gains_db)
     ses = [None] * len(gains_db)
     measured = [None] * len(gains_db)
-    # a zero eigenvalue's -inf dB makes the std NaN (-inf less its -inf mean)
+    # a zero eigenvalue's -inf dB is caught as non-finite, not warned about
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, lam in zip(live, lams):
+        for i, lam, control in zip(live, lams, controls):
             measured[i] = lam
-            pooled = 10.0 * np.log10(lam)
-            stds[i] = float(pooled.ravel().std(ddof=1))
-            if rel_se is not None and math.isfinite(stds[i]):
-                ses[i] = _relative_se(pooled)
+            stds[i], ses[i] = _pooled_std(10.0 * np.log10(lam), control, K * (D - 1))
     if rel_se is not None:
         rel_se.extend(ses)
     if spectra is not None:
@@ -433,24 +455,50 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
 _PILOT_TRIALS = 64  # leading trials that size each sigma's calibration sample
 
 
-def _relative_se(pooled) -> float | None:
-    """Relative standard error of the pooled std of ``pooled`` (rows, D),
-    by the delta method over each row's mean and mean square, with the row
-    as the independent unit: the D values of one row repel, and each
-    (trial, bin) row has its own stream.  None for fewer than two rows."""
-    if len(pooled) < 2:
-        return None
+def _pooled_std(pooled, control, control_mean: float) -> tuple:
+    """The std of the pooled values ``pooled`` (rows, D) and its relative
+    standard error, estimated with a control variate (Lavenberg & Welch,
+    Manage. Sci. 27(3), 1981): ``control`` holds one value per row, drawn
+    from the same random numbers, whose mean is ``control_mean`` exactly.
+
+    The row is the independent unit: the D values of one row repel, and
+    each (trial, bin) row has its own stream.  With q each row's mean
+    squared deviation from the pooled mean and X its control, the variance
+    is mean(q) - beta (mean(X) - control_mean), beta = cov(q, X) / var(X),
+    and the relative standard error of its root, the std, is
+    sd(q - beta X) / sqrt(rows) / (2 variance).  With fewer than 3 rows, a
+    constant control or a variance that comes out non-positive it is the
+    plain sample std, whose standard error is the delta method over each
+    row's mean and mean square.
+
+    Returns (NaN, None) if a value is not finite; the standard error is
+    None for one row and 0 when every value is equal."""
+    if not np.all(np.isfinite(pooled)):
+        return math.nan, None
+    plain = float(pooled.ravel().std(ddof=1))
+    rows = len(pooled)
+    if rows < 2:
+        return plain, None
     x = pooled - pooled.mean()
     scale = x.std()
     if not scale > 0.0:
-        return 0.0
+        return plain, 0.0
     x /= scale  # the ratio does not depend on the scale, which may underflow
-    m = x.mean(axis=1)
     q = np.mean(x * x, axis=1)
+    if rows >= 3:
+        dev = control - control.mean()
+        var_control = np.mean(dev * dev)
+        if var_control > 0.0:
+            beta = np.mean((q - q.mean()) * dev) / var_control
+            var = q.mean() - beta * (control.mean() - control_mean)
+            if var > 0.0:
+                se = (q - beta * control).std(ddof=1) / math.sqrt(rows) / (2.0 * var)
+                return float(scale * math.sqrt(var)), float(se)
+    m = x.mean(axis=1)
     m_bar = m.mean()
     influence = q - 2.0 * m_bar * m  # of the variance mean(q) - mean(m)^2
     var = q.mean() - m_bar * m_bar
-    return float(influence.std(ddof=1) / math.sqrt(len(pooled)) / (2.0 * var))
+    return plain, float(influence.std(ddof=1) / math.sqrt(rows) / (2.0 * var))
 
 
 def _seed(target: float, D: int, K: int) -> tuple:
@@ -553,11 +601,11 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
         n = clamp(ceil(n_pilot (se / (tol / 2))^2), n_pilot, trials_cal)
 
     trials, where se is the relative standard error of the pilot's pooled
-    std (``_relative_se``).  If n > n_pilot the gain stays pending and is
-    measured again over the n trials in the next round; every later
-    measurement is made over trials [0, n).  So n depends only on the
-    target's own pilot, and the returned gain was last measured over
-    trials [0, n).
+    std, as ``measure_ensemble_std`` estimates it with its control.  If
+    n > n_pilot the gain stays pending and is measured again over the n
+    trials in the next round; every later measurement is made over trials
+    [0, n).  So n depends only on the target's own pilot, and the returned
+    gain was last measured over trials [0, n).
 
     The iterations run in lockstep: a round measures every pending gain in
     one pass over the shared sample.  Its Haar factors and unit gain draws
@@ -687,8 +735,8 @@ def run_ensembles(configs) -> list:
     memo = {k: f for k, f in memo.items() if k[1] > min(reused, default=T)}
     lam_all = [np.ones((T, N, D)) for _ in configs]
     discarded = [[] for _ in configs]
-    spectra = _spectra(D, K, N, first.seed, [gains[i] for i in live], reused,
-                       [T] * len(live), pc, memo, grow=False)
+    spectra, _ = _spectra(D, K, N, first.seed, [gains[i] for i in live], reused,
+                          [T] * len(live), pc, memo, grow=False)
     for i, m, rest in zip(live, reused, spectra):
         lam = np.concatenate([measured[i][:m * N], rest])
         # a (trial, bin) whose spectrum failed or is not positive and finite
