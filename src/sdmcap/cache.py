@@ -14,6 +14,7 @@ concurrent writers neither lose records nor expose a half-written file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -72,34 +73,42 @@ def _same_pair(record: dict, D: int, snr_db: float) -> bool:
     return record.get("D") == D and abs(record.get("snr_db", 0.0) - snr_db) <= _SNR_MATCH_TOL
 
 
+def _local_records(path: Path) -> list:
+    """The well-formed records of the local table at ``path``: dicts with an
+    int D and finite numeric snr_db, gamma0 and gamma1.  Other records are
+    dropped, and a missing or corrupt table has none."""
+    try:
+        records = json.loads(path.read_text())
+    except (ValueError, OSError):
+        return []
+    if not isinstance(records, list):
+        return []
+    return [r for r in records
+            if isinstance(r, dict) and type(r.get("D")) is int
+            and all(isinstance(r.get(key), (int, float)) and math.isfinite(r[key])
+                    for key in ("snr_db", "gamma0", "gamma1"))]
+
+
 def load_gamma_table() -> list:
     """Shipped + locally fitted correlation records ({D, snr_db, gamma0,
     gamma1} dicts); a local record overrides any shipped one with the same
-    D and an SNR within the match tolerance."""
+    D and an SNR within the match tolerance, and a malformed one is
+    ignored."""
     records = _shipped_gamma_records()
-    path = _gamma_table_path()
-    if path.exists():
-        try:
-            for r in json.loads(path.read_text()):
-                records = [s for s in records
-                           if not _same_pair(s, r["D"], r["snr_db"])] + [r]
-        except (json.JSONDecodeError, OSError, KeyError, TypeError):
-            pass
+    for r in _local_records(_gamma_table_path()):
+        records = [s for s in records if not _same_pair(s, r["D"], r["snr_db"])] + [r]
     return sorted(records, key=lambda r: (r["D"], r["snr_db"]))
 
 
 def store_gamma(model: CorrelationModel) -> Path:
     """Write (merge) one fitted record into the local correlation table,
     under its lock, replacing the file atomically; a missing or corrupt
-    table starts empty."""
+    table starts empty, and its malformed records are dropped."""
     path = _gamma_table_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     with _locked(path):
-        try:
-            records = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            records = []
-        records = [r for r in records if not _same_pair(r, model.D, model.snr_db)]
+        records = [r for r in _local_records(path)
+                   if not _same_pair(r, model.D, model.snr_db)]
         records.append({"D": model.D, "snr_db": model.snr_db,
                         "gamma0": model.gamma0, "gamma1": model.gamma1})
         records.sort(key=lambda r: (r["D"], r["snr_db"]))

@@ -17,8 +17,8 @@ about 2^16 complex entries of draws (``_chunk_size``): it builds each
 block's factors once, chains them at every gain asked for and keeps only
 the spectra, so the pass holds about two blocks per worker plus the
 calibration memo, whatever its trial count.  It isolates failures,
-redoing a segment whose build or chain raises row by row, each row from
-its own stream; a row that still fails is NaN.  Calibration measures such
+redoing a block whose build or chain raises row by row, each row from its
+own stream; a row that still fails is NaN.  Calibration measures such
 a gain as NaN, and the trial pass discards the row.
 
 ``run_ensembles`` is the one oracle path: it runs a grid of configs that
@@ -38,21 +38,22 @@ sections it tracks the row's spread of the spectrum closely, so a small
 sample meets the standard-error target.  Each iteration starts from the
 gain that the accumulated-MDG relation gives, so a sigma whose seed
 measures within tolerance takes one round; the others take a log-log
-Newton step and then secant steps.  The leading blocks of the sample, at most ``_CHUNK_BUDGET``
-complex entries, are held from the first round to the end of the trial
-pass; blocks beyond it are rebuilt once per round.  A sigma's last
-calibration measurement is at its returned gain, over its n calibration
-trials, so the trial pass takes trials [0, n) from it and chains only the
-trials beyond.  Each result is bit-identical to a lone run of its config.
+Newton step and then secant steps.  The memo is a list of whole blocks
+0, 1, 2, ... of the trial stream, at most ``_CHUNK_BUDGET`` complex entries,
+held from the first round to the end of the trial pass; blocks beyond it
+are rebuilt once per round.  A sigma's last calibration measurement is
+at its returned gain, over its n calibration trials, so the trial pass
+takes trials [0, n) from it and chains only the trials beyond.  Each
+result is bit-identical to a lone run of its config.
 
-Each pass is cut into one contiguous trial range per CPU in the process's
-affinity mask, which walks its blocks in turn; the caller runs the first
-range and a thread pool the others (numpy's draws, QR, matmul and
-eigen-solver release the interpreter lock).  Every trial keeps its own
-stream and writes its own rows, so results are bit-identical for any
-worker count and block size; with one CPU, or a one-trial pass, it runs
-inline and no thread is started.  BLAS thread settings are left as the
-user set them.
+Each pass is cut at block boundaries into one contiguous trial range per
+CPU in the process's affinity mask (fewer if it touches fewer blocks),
+which walks its blocks in turn; the caller runs the first range and a
+thread pool the others (numpy's draws, QR, matmul and eigen-solver release
+the interpreter lock).  Every trial keeps its own stream and writes its
+own rows, so results are bit-identical for any worker count and block
+size; with one CPU, or a pass inside one block, it runs inline and no
+thread is started.  BLAS thread settings are left as the user set them.
 
 Two power-control conventions are supported.  ``trial`` renormalizes every
 realization so the linear gains sum to exactly D; it keeps the per-trial
@@ -223,14 +224,6 @@ def _gains_from_channels(h, D, power_control=POWER_CONTROL_ENSEMBLE):
     return lam  # eigvalsh returns ascending order
 
 
-def _chunked(lo: int, hi: int, size: int):
-    """The trial range [lo, hi) cut at the multiples of ``size``."""
-    while lo < hi:
-        end = min((lo // size + 1) * size, hi)
-        yield lo, end
-        lo = end
-
-
 _CHUNK_BUDGET = 4_000_000  # complex entries the calibration memo may hold
 _BLOCK_BUDGET = 1 << 16  # complex entries of draws one build block aims at
 _BLOCK_FLOOR = 8  # trials: the K-section chain stays batched
@@ -274,19 +267,22 @@ def _executor():
         return _pool[1]
 
 
-def _map_pieces(fn, lo: int, hi: int) -> list:
-    """``fn(a, b)`` for each of the contiguous ranges, one per worker, that
-    cut the trial range [lo, hi), returned in trial order.
+def _map_pieces(fn, lo: int, hi: int, size: int) -> list:
+    """``fn(a, b)`` for each of the contiguous ranges, one per worker but no
+    more than the blocks of ``size`` trials it touches, that cut the trial
+    range [lo, hi) at multiples of ``size``, returned in trial order.
 
     The caller runs the first piece and the pool the others; a single piece
     runs inline and starts no thread.  ``fn`` must not call back into this
     function."""
-    n = min(_worker_count(), hi - lo)
+    k0 = lo // size
+    blocks = -(-hi // size) - k0
+    n = min(_worker_count(), blocks)
     if n <= 1:
         return [fn(lo, hi)]
     from concurrent.futures import wait
 
-    bounds = [lo + (hi - lo) * i // n for i in range(n + 1)]
+    bounds = [lo, *((k0 + blocks * i // n) * size for i in range(1, n)), hi]
     pool = _executor()
     others = [pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -297,41 +293,40 @@ def _map_pieces(fn, lo: int, hi: int) -> list:
 
 
 def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
-             power_control: str, memo: dict | None = None, grow: bool = True) -> list:
+             power_control: str, memo: list | None = None, grow: bool = True) -> list:
     """Sorted linear gains of trials [starts[i], counts[i]) at each
     per-section gain ``gains_db[i]``, and each row's control (``_control``):
     a list of one ((counts[i] - starts[i]) * bins, D) array per gain and a
     list of one matching array of controls, ``bins`` rows per trial in
     (trial, bin) order.
 
-    One map over trials [min(starts), max(counts)): each worker's
-    contiguous range walks its build blocks (``_chunk_size`` trials, cut at
-    its multiples).  A block takes its gain-independent factors from the
-    memo or builds them, chains them at every gain whose range covers it
-    and keeps only the spectra and controls, so a worker holds the factors
-    of its current block and of the last one.  Held and fresh segments of a
-    block are chained one at a time.  A segment whose chain raises
-    ``LinAlgError`` is chained row by row from its factors, and one whose
-    build raises is rebuilt row by row, each row from its own stream, which
-    also gives its control; a row that still fails is NaN.  Overflow in the
-    chain is not reported: its rows come out non-finite or non-positive,
-    and the caller handles them.
+    One map over trials [min(starts), max(counts)), cut at the multiples of
+    ``_chunk_size``: each worker's contiguous range walks its build blocks.
+    A block takes its gain-independent factors from the memo or builds them,
+    chains them at every gain whose range covers it and keeps only the
+    spectra and controls, so a worker holds the factors of its current block
+    and of the last one.  A block whose chain raises ``LinAlgError`` is
+    chained row by row from its factors, and one whose build raises is
+    rebuilt row by row, each row from its own stream, which also gives its
+    control; a row that still fails is NaN.  Overflow in the chain is not
+    reported: its rows come out non-finite or non-positive, and the caller
+    handles them.
 
-    ``memo`` is a dict the caller keeps across calls with the same D, K,
-    bins and seed.  It keeps the factors of the leading trials, keyed by
-    trial range: those of the whole blocks from trial 0 that fit in
-    ``_CHUNK_BUDGET`` complex entries, up to the first block whose build
-    failed.  Trials beyond them are rebuilt on every call.  With ``grow``
+    ``memo`` is a list the caller keeps across calls with the same D, K,
+    bins and seed: entry k holds the factors of the whole build block k.
+    Blocks from 0 that fit in ``_CHUNK_BUDGET`` complex entries are built
+    whole, even where the pass needs only their leading trials, and the memo
+    takes them in order up to the first whose build failed; other blocks
+    are built over the trials the pass needs, on every call.  With ``grow``
     false the call reads the memo but adds no block to it."""
     size = _chunk_size(D, K, bins)
-    held = {} if memo is None else memo
+    held = [] if memo is None else memo
     if memo is None or not grow:
-        hold_below = 0
+        limit = 0
     elif K == 1:  # no unitaries to hold
-        hold_below = math.inf
+        limit = math.inf
     else:
-        hold_below = size * (_CHUNK_BUDGET // (size * bins * (K - 1) * D * D))
-    top = max((b for _, b in held), default=0)  # the memo holds trials [0, top)
+        limit = _CHUNK_BUDGET // (size * bins * (K - 1) * D * D)
     spectra = [np.empty(((n - s) * bins, D)) for s, n in zip(starts, counts)]
     controls = [np.empty((n - s) * bins) for s, n in zip(starts, counts)]
 
@@ -360,60 +355,48 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
                     pass
             return lam, control
 
-    def block(a, b, kept):
-        # chains trials [a, b) of one block at every gain whose range covers
-        # them, segment by segment: the held ones, then one built afresh,
-        # which goes into ``kept`` below the hold limit.  Returns the fresh
-        # factors: None if their build failed, () if the memo held them all.
-        segments = [((max(a, p), min(b, q)),
-                     tuple(f[(max(a, p) - p) * bins:(min(b, q) - p) * bins] for f in factors))
-                    for (p, q), factors in held.items() if p < b and a < q]
-        fresh = ()
-        if top < b:
-            p = max(a, top)
-            try:
-                fresh = _haar_factors(D, K, [_rng(seed, t, j)
-                                             for t in range(p, b) for j in range(bins)])
-            except np.linalg.LinAlgError:
-                fresh = None
-            else:
-                if b <= hold_below:
-                    kept[p, b] = fresh
-            segments.append(((p, b), fresh))
-        for (p, q), factors in segments:
-            for i, (g, s, n) in enumerate(zip(gains_db, starts, counts)):
-                lo, hi = max(p, s), min(q, n)
-                if lo < hi:
-                    rows = None if factors is None else tuple(
-                        f[(lo - p) * bins:(hi - p) * bins] for f in factors)
-                    out = slice((lo - s) * bins, (hi - s) * bins)
-                    spectra[i][out], controls[i][out] = chain(rows, g, lo, hi)
-        return fresh
-
     def piece(lo, hi):
-        # the fresh factors of blocks below the hold limit, and the start of
-        # the first block whose build failed
-        kept, failed = {}, math.inf
-        for a, b in _chunked(lo, hi, size):
-            # the last block's factors are freed only once this block's are
-            # built, so malloc reuses their memory: freed first, it went
-            # back to the OS and every block faulted it in afresh (4.7 times
-            # the page faults at D = 6, K = 100)
-            last = block(a, b, kept)
-            if last is None:
-                failed = min(failed, a - a % size)
-        return kept, failed
+        # (block, factors) of each block this piece built for the memo,
+        # factors None where the build failed
+        kept = []
+        for k in range(lo // size, -(-hi // size)):
+            a, b = max(lo, k * size), min(hi, (k + 1) * size)
+            if k < len(held):
+                p, factors = k * size, held[k]
+            else:
+                p, q = (k * size, (k + 1) * size) if k < limit else (a, b)
+                # the last block's factors are freed only once these are
+                # built, so malloc reuses their memory: freed first, it went
+                # back to the OS and every block faulted it in afresh (4.7
+                # times the page faults at D = 6, K = 100)
+                try:
+                    factors = _haar_factors(D, K, [_rng(seed, t, j)
+                                                   for t in range(p, q) for j in range(bins)])
+                except np.linalg.LinAlgError:
+                    factors = None
+                if k < limit:
+                    kept.append((k, factors))
+            for i, (g, s, n) in enumerate(zip(gains_db, starts, counts)):
+                t0, t1 = max(a, s), min(b, n)
+                if t0 < t1:
+                    rows = None if factors is None else tuple(
+                        f[(t0 - p) * bins:(t1 - p) * bins] for f in factors)
+                    out = slice((t0 - s) * bins, (t1 - s) * bins)
+                    spectra[i][out], controls[i][out] = chain(rows, g, t0, t1)
+        return kept
 
-    pieces = _map_pieces(piece, min(starts, default=0), max(counts, default=0))
-    hold_below = min(hold_below, *(failed for _, failed in pieces))
-    for kept, _ in pieces:
-        held.update((k, f) for k, f in kept.items() if k[1] <= hold_below)
+    lo, hi = min(starts, default=0), max(counts, default=0)
+    pieces = _map_pieces(piece, lo, hi, size) if lo < hi else []  # an empty pass builds nothing
+    for k, factors in (entry for kept in pieces for entry in kept):
+        if factors is None or k != len(held):
+            break
+        held.append(factors)
     return spectra, controls
 
 
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
                          power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
-                         memo: dict | None = None, rel_se: list | None = None,
+                         memo: list | None = None, rel_se: list | None = None,
                          spectra: list | None = None) -> list:
     """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
     ``gains_db``, over the leading trials of the trial stream, each with
@@ -422,7 +405,8 @@ def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
     or one count per gain: gain i is measured over trials [0, trials[i]).
 
     The spectra and their rows' controls come from one ``_spectra`` pass,
-    whose ``memo`` this passes on, and each std is estimated with the
+    whose ``memo`` (a list of build blocks) this passes on, and each std is
+    estimated with the
     control (``_pooled_std``).  The requested power control is applied
     before measuring (the deterministic ensemble-level gain has no effect on
     the std, so the ensemble mode measures the raw spectrum).  A gain of 0
@@ -581,7 +565,7 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
 def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
                            tol: float = 0.01, max_iter: int = 50,
                            power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
-                           memo: dict | None = None, spectra: dict | None = None) -> tuple:
+                           memo: list | None = None, spectra: dict | None = None) -> tuple:
     """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
     in ``targets``, in order, and the size of each target's sample.
 
@@ -609,9 +593,9 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
 
     The iterations run in lockstep: a round measures every pending gain in
     one pass over the shared sample.  Its Haar factors and unit gain draws
-    are built once per call within ``_CHUNK_BUDGET`` and once per round
-    beyond it; ``memo``, if given, holds them for the caller (see
-    ``_spectra``).  Each gain is the one a lone call for its target would
+    are built once per call, in whole build blocks, within ``_CHUNK_BUDGET``
+    and once per round beyond it; ``memo``, if given, is the list of held
+    blocks, kept for the caller (see ``_spectra``).  Each gain is the one a lone call for its target would
     return.  ``spectra``, if given, maps each target index but those of 0
     to the (n * bins, D) spectra of its last measurement.
 
@@ -635,7 +619,7 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
         advance(i, None)
     n_pilot = min(_PILOT_TRIALS, trials_cal)
     sizes = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
-    memo = {} if memo is None else memo  # gain-independent factors, shared by every round
+    memo = [] if memo is None else memo  # gain-independent factors, shared by every round
     while pending:
         order = list(pending)
         gains_db = [pending[i] for i in order]
@@ -724,7 +708,7 @@ def run_ensembles(configs) -> list:
     pc = first.power_control
 
     T = first.trials
-    memo, measured = {}, {}  # calibration's held factors and last spectra, for the trial pass
+    memo, measured = [], {}  # calibration's held blocks and last spectra, for the trial pass
     gains, sizes = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
                                           first.calibration_trials, first.seed,
                                           first.calibration_tol, power_control=pc, bins=N,
@@ -732,7 +716,8 @@ def run_ensembles(configs) -> list:
     live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
     reused = [min(sizes[i][0], T) for i in live]
     # the trial pass reads no held block below the first trial it chains
-    memo = {k: f for k, f in memo.items() if k[1] > min(reused, default=T)}
+    k = min(reused, default=T) // _chunk_size(D, K, N)
+    memo = [None] * k + memo[k:]
     lam_all = [np.ones((T, N, D)) for _ in configs]
     discarded = [[] for _ in configs]
     spectra, _ = _spectra(D, K, N, first.seed, [gains[i] for i in live], reused,

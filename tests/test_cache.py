@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import sdmcap
 from sdmcap import cache
 from sdmcap.gue import derive_coefficients
@@ -52,6 +54,23 @@ class TestGammaTable:
         cache.store_gamma(CorrelationModel(0.1, 0.2, D=6, snr_db=10.0 + 1e-12))
         assert cache.lookup_gamma(6, 10.0).gamma0 == 0.1
         assert sum(1 for r in cache.load_gamma_table() if r["D"] == 6) == 1
+
+    @pytest.mark.parametrize("record", [
+        '{"D": 6, "snr_db": 10.0}',
+        '{"D": "6", "snr_db": 10.0, "gamma0": 0.5, "gamma1": 0.0}',
+        '{"D": 6, "snr_db": 10.0, "gamma0": "x", "gamma1": 0.0}',
+        '{"D": 6, "snr_db": 10.0, "gamma0": NaN, "gamma1": 0.0}',
+        '{"snr_db": 10.0, "gamma0": 0.5, "gamma1": 0.0}',
+    ], ids=["no_gammas", "str_D", "str_gamma", "nan_gamma", "no_D"])
+    def test_malformed_local_record_is_ignored(self, record):
+        path = cache.cache_dir() / "gamma_table.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(f"[{record}]")
+        assert cache.lookup_gamma(6, 10.0).gamma0 == 0.43513127  # the shipped record
+        cache.store_gamma(CorrelationModel(0.3, 1e-5, D=4, snr_db=10.0))
+        assert cache.lookup_gamma(4, 10.0).gamma0 == 0.3
+        assert json.loads(path.read_text()) == [
+            {"D": 4, "snr_db": 10.0, "gamma0": 0.3, "gamma1": 1e-5}]
 
     def test_restore_overwrites_same_pair(self):
         cache.store_gamma(CorrelationModel(0.1, 0.0, D=4, snr_db=10.0))

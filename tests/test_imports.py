@@ -1,12 +1,14 @@
 """No module of the package or of its tests imports a name it never uses,
-and no private module-level function, class or assigned name of the
-package goes unused.
+no private module-level function, class or assigned name of the package
+goes unused, and no test module keeps a private module-level helper that
+it never uses itself.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
 read anywhere in the module or is listed in ``__all__`` (the package's
-re-exports).  A private definition counts as used when the package reads
-its name (bare, as an attribute or in an import) outside its own body.
+re-exports).  A private definition of the package counts as used when the
+package reads its name (bare, as an attribute or in an import) outside its
+own body; one of a test module, when that module reads it so.
 """
 
 import ast
@@ -88,11 +90,17 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def test_no_unused_private_definitions():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+def _unused_private_definitions(paths):
+    """Each private definition of the modules at ``paths`` that none of
+    them reads outside its own body."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = sorted(
-        f"{module}: {name} (line {node.lineno})"
-        for module, tree in trees.items() for name, node in _private_definitions(tree)
-        if refs[name] <= _references(node)[name])
+    return [f"{module}: {name} (line {node.lineno})"
+            for module, tree in trees.items() for name, node in _private_definitions(tree)
+            if refs[name] <= _references(node)[name]]
+
+
+def test_no_unused_private_definitions():
+    unused = sorted(_unused_private_definitions(MODULES)
+                    + [entry for path in TESTS for entry in _unused_private_definitions([path])])
     assert not unused, f"private definitions never used: {', '.join(unused)}"

@@ -243,18 +243,20 @@ class TestCalibration:
             return original(D, K, rngs)
 
         monkeypatch.setattr(mc, "_haar_factors", batches_fail)
-        memo = {}
+        memo = []
         assert mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=30,
                                        memo=memo) == expected
-        assert memo == {}
+        assert _held_trials(memo) == []
 
     @pytest.mark.parametrize("bins, power_control", [(1, POWER_CONTROL_ENSEMBLE),
                                                      (2, POWER_CONTROL_TRIAL)])
     def test_failing_chains_are_redone_row_by_row_on_the_built_factors(
             self, monkeypatch, bins, power_control):
         # every chain of more than one row fails: each row is chained from
-        # its piece's factors, which are built once, and the spectra keep their bits
+        # its piece's factors, which are built once, and the spectra keep
+        # their bits; 15-trial blocks, so the 30 trials make two pieces
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 15)
         args = (6, 20, bins, 2, [0.5, 1.0], [0, 5], [30, 17], power_control)
         expected = mc._spectra(*args)
         section_gains, haar_factors = mc._section_gains, mc._haar_factors
@@ -535,9 +537,19 @@ def _sha256(result):
     return hashlib.sha256(result_to_json(result).encode()).hexdigest()
 
 
-def _held_trials(memo):
-    """Calibration trials whose Haar factors a memo holds, in order."""
-    return sorted(t for lo, hi in memo for t in range(lo, hi))
+def _held_trials(memo, bins=1):
+    """Calibration trials whose Haar factors a memo holds, in order.  Entry
+    k of the memo holds the factors (q, unit) of build block k, ``bins`` rows
+    per trial, or None where the trial pass released it."""
+    trials = []
+    for k, factors in enumerate(memo):
+        if factors is not None:
+            q, unit = factors
+            rows, K, D = unit.shape
+            assert q.shape == (rows, K - 1, D, D)
+            size = mc._chunk_size(D, K, bins)
+            trials.extend(range(k * size, k * size + rows // bins))
+    return trials
 
 
 # every worker count with the default build block (id: the count alone)
@@ -549,9 +561,7 @@ WORKERS_AND_BLOCKS = [pytest.param(w, b, id=str(w) if b is None else f"{w}-block
 def _lone_run_cases():
     """Every digest case at every entry of ``WORKERS_AND_BLOCKS``, but the
     D = 6, K = 100 case at blocks of 1 and 7 trials at 2 workers only: its
-    400-trial calibration makes one build per block, seconds per case, and 2
-    workers cut its pilot and its sample inside a 7-trial block, where 3
-    cut both at block boundaries."""
+    400-trial calibration makes one build per block, seconds per case."""
     for case in ("d20_k5", "d6_k100_trial_2_bins", "d4_k100_rebuilt_chunks"):
         for entry in WORKERS_AND_BLOCKS:
             workers, block = entry.values
@@ -620,13 +630,14 @@ class TestBitExactness:
         if budget_chunks is not None:
             monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 10)
             monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * 10 * K * D * D)
-        memo = {}
+        memo = []
         for g in (0.2, 0.45, 0.9):
             memoised = mc.measure_ensemble_std(D, K, [g], seed=4, trials=45,
                                                memo=memo)
             assert memoised == mc.measure_ensemble_std(D, K, [g], seed=4,
                                                        trials=45)
-        held = 45 if budget_chunks is None else budget_chunks * 10
+        # the default block is 91 trials, all held, so the memo holds it whole
+        held = 91 if budget_chunks is None else budget_chunks * 10
         assert _held_trials(memo) == list(range(held))
 
     @pytest.mark.parametrize("workers, block", WORKERS_AND_BLOCKS)
@@ -718,12 +729,16 @@ class TestRunEnsembles:
         rounds = len(factored) - 1
         assert rounds == max(lone_rounds) >= 3 and len(set(lone_rounds)) > 1
         assert min(sizes) < hold < max(sizes) < trials
-        # the pilot, the rest of the widest sample, then whatever of each
-        # later round's sample lies beyond the memo; the trial pass builds
-        # only trials beyond both the smallest sample and the memo
-        assert factored == ([widest[0], widest[1] - widest[0]]
-                            + [max(0, w - hold) for w in widest[2:]]
-                            + [trials - hold])
+        # each round builds whole the blocks below the memo's limit that its
+        # widest sample touches and the memo lacks, and the trials of that
+        # sample beyond the limit; the trial pass builds only trials beyond
+        # both the smallest sample and the memo
+        expected, top = [], 0  # the memo holds trials [0, top)
+        for w in widest:
+            whole = max(top, min(-(-w // chunk) * chunk, hold))
+            expected.append(whole - top + max(0, w - hold))
+            top = whole
+        assert factored == expected + [trials - hold] == [70, 114, 0, 20]
 
     def test_trial_rows_reuse_the_last_calibration_measurement(self, monkeypatch):
         # D = 20, K = 5, two bins at a tolerance of 0.5 %: the sigmas'
@@ -773,6 +788,13 @@ class TestRunEnsembles:
         monkeypatch.setattr(mc, "calibrate_section_gain", calibrate_then_forbid_factoring)
         results = run_ensembles([dataclasses.replace(c, trials=64) for c in _grid("d20_k5")])
         assert all(r.calibration_trials_used >= r.config.trials for r in results)
+
+    def test_an_empty_trial_pass_inside_a_block_builds_nothing(self, monkeypatch):
+        # 7-trial blocks and no memo: every sample's 64 trials end inside
+        # block 9, which the empty trial pass must not build
+        monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: 7)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 0)
+        self.test_trials_within_every_sample_are_not_simulated_again(monkeypatch)
 
     @pytest.mark.parametrize("change", [
         {"spec": ChannelSpec(4, 10.0, 5.0)},
@@ -838,18 +860,35 @@ def test_calibrating_on_the_trials_does_not_bias_the_total_variance():
 class TestMapPieces:
     def test_pieces_cover_the_range_in_order(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 3)
-        assert mc._map_pieces(lambda a, b: (a, b), 3, 10) == [(3, 5), (5, 7), (7, 10)]
+        assert mc._map_pieces(lambda a, b: (a, b), 3, 10, 1) == [(3, 5), (5, 7), (7, 10)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(0, 300), length=st.integers(1, 300), size=st.integers(1, 64),
+           workers=st.integers(1, 4))
+    def test_pieces_are_cut_at_block_boundaries(self, lo, length, size, workers):
+        hi = lo + length
+        main = threading.get_ident()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_worker_count", lambda: workers)
+            pieces = mc._map_pieces(lambda a, b: (a, b, threading.get_ident()), lo, hi, size)
+        bounds = [lo] + [b for _, b, _ in pieces]
+        assert [(a, b) for a, b, _ in pieces] == list(zip(bounds[:-1], bounds[1:]))
+        assert all(a < b for a, b, _ in pieces) and bounds[-1] == hi
+        assert all(b % size == 0 for b in bounds[1:-1])
+        assert len(pieces) <= min(workers, -(-hi // size) - lo // size)
+        if len(pieces) == 1:
+            assert pieces[0][2] == main
 
     @pytest.mark.parametrize("workers, lo, hi", [(1, 0, 10), (4, 5, 6)])
     def test_single_piece_runs_inline(self, monkeypatch, workers, lo, hi):
         monkeypatch.setattr(mc, "_worker_count", lambda: workers)
         main = threading.get_ident()
-        assert mc._map_pieces(lambda a, b: threading.get_ident(), lo, hi) == [main]
+        assert mc._map_pieces(lambda a, b: threading.get_ident(), lo, hi, 1) == [main]
 
     def test_caller_runs_the_first_piece_and_the_pool_the_rest(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
         main = threading.get_ident()
-        first, second = mc._map_pieces(lambda a, b: threading.get_ident(), 0, 4)
+        first, second = mc._map_pieces(lambda a, b: threading.get_ident(), 0, 4, 1)
         assert first == main != second
 
     def test_failing_piece_waits_for_the_others(self, monkeypatch):
@@ -863,26 +902,26 @@ class TestMapPieces:
             finished.append(a)
 
         with pytest.raises(ValueError):
-            mc._map_pieces(piece, 0, 4)
+            mc._map_pieces(piece, 0, 4, 1)
         assert finished == [2]
 
     def test_pool_is_made_once(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
-        mc._map_pieces(lambda a, b: None, 0, 2)
+        mc._map_pieces(lambda a, b: None, 0, 2, 1)
         pool = mc._executor()
-        assert mc._map_pieces(lambda a, b: b - a, 0, 5) == [2, 3]
+        assert mc._map_pieces(lambda a, b: b - a, 0, 5, 1) == [2, 3]
         assert mc._executor() is pool
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
     def test_forked_child_gets_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
-        mc._map_pieces(lambda a, b: None, 0, 2)  # the parent's pool exists
+        mc._map_pieces(lambda a, b: None, 0, 2, 1)  # the parent's pool exists
         pid = os.fork()
         if pid == 0:  # child: the inherited executor has no threads
             signal.alarm(30)
             ok = False
             try:
-                ok = mc._map_pieces(lambda a, b: b - a, 0, 4) == [2, 2]
+                ok = mc._map_pieces(lambda a, b: b - a, 0, 4, 1) == [2, 2]
             finally:
                 os._exit(0 if ok else 1)
         _, status = os.waitpid(pid, 0)
@@ -933,7 +972,8 @@ class TestCalibrationMemo:
         n = len(factored)
         assert n >= 2
         if budget_chunks is None:
-            assert factored == [trials] + [0] * (n - 1)  # one chunk, held
+            # one default block of 91 trials, built whole and held
+            assert factored == [91] + [0] * (n - 1)
         else:
             recomputed = trials // chunk - budget_chunks
             assert factored == [trials] + [chunk * recomputed] * (n - 1)
@@ -955,26 +995,38 @@ class TestCalibrationMemo:
             return original(D, K, rngs)
 
         monkeypatch.setattr(mc, "_haar_factors", second_build_fails)
-        memo = {}
+        memo = []
         assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
         assert _held_trials(memo) == list(range(chunk))
         assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
         assert _held_trials(memo) == list(range(3 * chunk))
 
+    @pytest.mark.parametrize("block, bins", [(None, 1), (7, 2)])
+    def test_memo_holds_whole_blocks_from_trial_0(self, monkeypatch, block, bins):
+        # D = 6, K = 20: the 45-trial sample ends inside a block, of the
+        # default 91 (one bin) or of 7 trials; the memo holds every block it
+        # touches, whole
+        D, K, trials = 6, 20, 45
+        _set_block(monkeypatch, block)
+        size = mc._chunk_size(D, K, bins)
+        memo = []
+        calibrate_section_gain(D, K, [5.0], trials, seed=1, bins=bins, memo=memo)
+        assert trials % size and len(memo) == -(-trials // size)
+        assert _held_trials(memo, bins) == list(range(len(memo) * size))
+
     def test_memo_holds_at_most_one_chunk_budget(self):
         # D = 40, K = 100: 25 trials fill the budget, so it holds three
         # whole 8-trial blocks; trials 24 and 25 are rebuilt
-        memo = {}
+        memo = []
         mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=26, memo=memo)
-        held = sum(q.size for q, _ in memo.values())
         assert _held_trials(memo) == list(range(24))
-        assert held == 24 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
+        assert 24 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
 
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
-        memo = {}
+        memo = []
         mc.measure_ensemble_std(6, 20, [0.5], seed=0, trials=3, memo=memo)
-        assert memo == {}
+        assert _held_trials(memo) == []
 
 
 def test_trial_pass_memory_does_not_grow_with_its_trials(monkeypatch):
