@@ -17,7 +17,6 @@ from .errors import (
     DegenerateDistributionError,
     EnsembleError,
     FitError,
-    QuadratureError,
     RootLocalizationError,
     SdmCapError,
     UnsupportedOrderError,
@@ -62,7 +61,6 @@ __all__ = [
     "POWER_CONTROL_ENSEMBLE",
     "POWER_CONTROL_TRIAL",
     "PerModeStats",
-    "QuadratureError",
     "RootLocalizationError",
     "SdmCapError",
     "TotalCapacityStats",

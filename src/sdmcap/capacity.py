@@ -58,7 +58,9 @@ def per_mode_capacity_pdf(c: float, mean_db: float, sigma_db: float,
 
 def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -> float:
     """Mode of ``per_mode_capacity_pdf``: the root of the stationarity
-    condition bracketed by the +-6 sigma gain window."""
+    condition bracketed by the +-6 sigma gain window.  Raises
+    DegenerateDistributionError where the window's lower capacity rounds to
+    0, since the condition is undefined there."""
     if sigma_db == 0.0:
         return capacity_from_gain(mean_db, snr_linear)
 
@@ -68,6 +70,11 @@ def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -
         return 10.0 * two_c / (sigma_db * sigma_db * _LN10) * (lam_db - mean_db) + 1.0
 
     lo = capacity_from_gain(mean_db - 6.0 * sigma_db, snr_linear)
+    if 2.0**lo == 1.0:
+        raise DegenerateDistributionError(
+            f"the mode with gain mean {mean_db} dB and deviation {sigma_db} dB has "
+            f"capacity {lo} at its -6 sigma gain, where its stationarity "
+            f"condition is undefined; sigma_mdg is beyond the GUE track's range")
     hi = capacity_from_gain(mean_db + 6.0 * sigma_db, snr_linear)
     return bisect(stationarity, lo, hi)
 

@@ -242,13 +242,6 @@ def _oracle_variances(D, snr_db, sigma_grid, trials, seed, sections):
     return [result.total_var for result in run_ensembles(configs)]
 
 
-def _analytic_variance(model: CorrelationModel, sigma: float) -> float:
-    """Total-capacity variance of the correlation model at ``sigma``."""
-    spec = ChannelSpec(model.D, model.snr_db, sigma)
-    a, b = total.variance_terms(per_mode_stats(spec).cap_sigmas)
-    return a + b * model.combined_coefficient(sigma)
-
-
 def cmd_fit(args) -> int:
     grid = _parse_sigma_grid(args.sigma_grid)
     oracle_vars = _oracle_variances(args.modes, args.snr_db, grid,
@@ -284,22 +277,27 @@ def cmd_sweep(args) -> int:
             f"to fit (< 3 points)\n"
         )
         return EXIT_NO_GAMMA
+    # a table model needs no oracle, so a record out of its range stops the
+    # sweep before anything is simulated
+    table_sigmas = {
+        D: [total.total_stats(per_mode_stats(ChannelSpec(D, args.snr_db, sigma)),
+                              model, sigma).sigma_ct for sigma in grid]
+        for D, model in models.items() if model is not None}
     rows = []
     for D in modes:
         sim_vars = _oracle_variances(D, args.snr_db, grid, args.trials,
                                      args.seed, args.sections)
-        model = models[D]
-        if model is None:
+        sigma_cts = table_sigmas.get(D)
+        if sigma_cts is None:
             # no table entry: fit on this sweep's own simulated variances
-            analytic_vars = fitting.fit(D, args.snr_db, grid, sim_vars).grid_variances
-        else:
-            analytic_vars = [_analytic_variance(model, sigma) for sigma in grid]
-        for sigma, var, sim_var in zip(grid, analytic_vars, sim_vars):
+            sigma_cts = [math.sqrt(max(var, 0.0)) for var in
+                         fitting.fit(D, args.snr_db, grid, sim_vars).grid_variances]
+        for sigma, sigma_ct, sim_var in zip(grid, sigma_cts, sim_vars):
             rows.append({
                 "mode_count": D,
                 "snr_db": args.snr_db,
                 "sigma_mdg_db": sigma,
-                "sigma_ct_analytic": math.sqrt(max(var, 0.0)),
+                "sigma_ct_analytic": sigma_ct,
                 "sigma_ct_sim": math.sqrt(max(sim_var, 0.0)),
             })
     if args.format == "csv":

@@ -9,17 +9,6 @@ class UnsupportedOrderError(SdmCapError):
     """Mode count outside the range handled by the requested method."""
 
 
-class QuadratureError(SdmCapError):
-    """Adaptive quadrature exhausted its subdivision budget.
-
-    Carries the best estimate obtained so far in ``best_estimate``.
-    """
-
-    def __init__(self, message, best_estimate):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class RootLocalizationError(SdmCapError):
     """The density's stationary points are not the 2D - 1 distinct real ones required."""
 

@@ -6,9 +6,10 @@ grid.  The analytic variance is linear in the combined coefficient
 g = gamma0 + gamma1 * sigma^2.75, var(sigma) = A(sigma) + B(sigma) * g with
 B < 0 (``total.variance_terms``).  Phase one anchors gamma0 so the
 variance at the smallest grid sigma is matched exactly; phase two searches
-gamma1 by golden section, re-anchoring gamma0 for every candidate, and
-finally nudges gamma0 downward if the fitted variance curve fails to be
-monotonically increasing in sigma_mdg.
+gamma1 by golden section, re-anchoring gamma0 for every candidate.  If
+the fitted variance curve is not increasing in sigma_mdg, gamma0 is lowered
+to the largest value at which it is: each rise between neighbouring check
+points is linear in gamma0, so the smallest correction is a closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .total import CORRELATION_EXPONENT, CorrelationModel, variance_terms
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 GAMMA1_MAGNITUDE = 1e-2
-MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,11 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> FittedModel:
             return math.inf
         return msle(vars_, oracle_vars)
 
-    def golden_section(lo: float, hi: float, budget: int):
+    def golden_section(lo: float, hi: float):
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
         f1, f2 = objective(x1), objective(x2)
-        used = 2
-        while used < budget and (hi - lo) > 1e-16:
+        while (hi - lo) > 1e-16:
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - _GOLDEN * (hi - lo)
@@ -111,40 +110,61 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> FittedModel:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + _GOLDEN * (hi - lo)
                 f2 = objective(x2)
-            used += 1
-        return (x1, f1, used) if f1 <= f2 else (x2, f2, used)
+        return (x1, f1) if f1 <= f2 else (x2, f2)
 
     # search the non-negative half-bracket first; fall back to negative
     # gamma1 only when it is strictly better (the semicircle track's
     # deviation bias grows with sigma_mdg at large D and can demand a
     # decreasing combined coefficient)
-    g1_pos, f_pos, used_pos = golden_section(0.0, GAMMA1_MAGNITUDE,
-                                             MAX_ITERATIONS // 2)
-    g1_neg, f_neg, used_neg = golden_section(-GAMMA1_MAGNITUDE, 0.0,
-                                             MAX_ITERATIONS // 2)
-    iterations = used_pos + used_neg
+    g1_pos, f_pos = golden_section(0.0, GAMMA1_MAGNITUDE)
+    g1_neg, f_neg = golden_section(-GAMMA1_MAGNITUDE, 0.0)
     model = anchored(g1_pos if f_pos <= f_neg * (1.0 + 1e-9) + 1e-15 else g1_neg)
 
-    def is_monotone(candidate):
-        vars_ = model_vars(candidate, check_sigmas, check_terms)
+    def rises(gamma0):
+        vars_ = model_vars(replace(model, gamma0=gamma0), check_sigmas, check_terms)
         return all(v2 > v1 for v1, v2 in zip(vars_, vars_[1:]))
 
-    def fitted(candidate) -> FittedModel:
+    def fitted(gamma0) -> FittedModel:
+        candidate = replace(model, gamma0=gamma0)
         return FittedModel(**asdict(candidate), grid_variances=tuple(
             model_vars(candidate, sigma_grid, terms)))
 
-    if not is_monotone(model):
-        # small downward corrections to gamma0: B < 0 grows in magnitude
-        # with sigma, so lowering gamma0 steepens the variance curve
-        step = max(abs(model.gamma0), 1e-3) * 1e-3
-        candidate = model
-        for _ in range(MAX_ITERATIONS - iterations):
-            candidate = replace(candidate, gamma0=candidate.gamma0 - step)
-            if is_monotone(candidate):
-                return fitted(candidate)
-        raise FitError(
-            "fitted variance curve is not monotonically increasing in "
-            "sigma_mdg and gamma0 corrections did not restore it",
-            best_candidate=model,
-        )
-    return fitted(model)
+    if rises(model.gamma0):
+        return fitted(model.gamma0)
+    # with g_k = gamma0 + gamma1 sigma_k^2.75, the rise from check point k
+    # to k + 1 is (A + B (g - gamma0))_(k+1) - (...)_k + (B_(k+1) - B_k) gamma0:
+    # positive below -rise / slope where B falls (slope < 0), above it where
+    # B rises, and gamma0-free where B is level
+    upper, lower = model.gamma0, -math.inf
+    points = [(a + b * model.gamma1 * s**model.exponent, b)
+              for s, (a, b) in zip(check_sigmas, check_terms)]
+    for (o1, b1), (o2, b2) in zip(points, points[1:]):
+        rise, slope = o2 - o1, b2 - b1
+        if slope < 0:
+            upper = min(upper, -rise / slope)
+        elif slope > 0:
+            lower = max(lower, -rise / slope)
+        elif rise <= 0:
+            lower = math.inf
+    # the curve as evaluated rises up to a threshold that the rounding of
+    # the sums puts near the bound: a few ulps off on a well-spaced grid,
+    # far more where check points nearly coincide.  Widen [lo, hi] from the
+    # bound in doubling steps until the curve rises at lo and not at hi,
+    # then halve it down to adjacent floats.
+    lo = hi = upper
+    step = math.ulp(upper)
+    while hi < model.gamma0 and rises(hi):
+        lo, hi, step = hi, min(model.gamma0, hi + step), 2.0 * step
+    step = math.ulp(upper)
+    while not rises(lo):
+        if lo <= lower:
+            raise FitError(
+                "no gamma0 at or below the fitted one makes the variance "
+                "curve increase monotonically in sigma_mdg",
+                best_candidate=model,
+            )
+        lo, hi, step = max(lower, lo - step), lo, 2.0 * step
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = (mid, hi) if rises(mid) else (lo, mid)
+    return fitted(lo)

@@ -1,5 +1,4 @@
 """Numeric kernels: Hermite polynomials with exact coefficients,
-adaptive quadrature (the reference the closed forms are tested against),
 bisection, the inverse error function and the Gaussian match of a density.
 """
 
@@ -8,7 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegenerateDistributionError, QuadratureError
+from .errors import DegenerateDistributionError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -29,64 +28,6 @@ def hermite(n: int) -> tuple:
             math.factorial(k) * math.factorial(power),
         )
     return tuple(coeffs)
-
-
-def _simpson(f_a, f_m, f_b, h):
-    return h / 6.0 * (f_a + 4.0 * f_m + f_b)
-
-
-def integrate(f, lower: float, upper: float, tol: float = 1e-10,
-              initial_panels: int = 32, max_depth: int = 60) -> float:
-    """Adaptive-Simpson estimate of the integral of ``f`` on [lower, upper].
-
-    The interval is pre-split into ``initial_panels`` panels so narrow
-    features cannot be missed by the first coarse estimate.  Raises
-    QuadratureError (carrying the best estimate) if the depth budget is
-    exhausted anywhere.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if upper == lower:
-        return 0.0
-    if upper < lower:
-        return -integrate(f, upper, lower, tol, initial_panels, max_depth)
-
-    panel_tol = tol / initial_panels
-    total = 0.0
-    failed = False
-    width = (upper - lower) / initial_panels
-    for i in range(initial_panels):
-        a = lower + i * width
-        b = a + width
-        m = 0.5 * (a + b)
-        fa, fm, fb = f(a), f(m), f(b)
-        whole = _simpson(fa, fm, fb, b - a)
-        value, ok = _adaptive(f, a, b, fa, fm, fb, whole, panel_tol, max_depth)
-        total += value
-        failed = failed or not ok
-    if failed:
-        raise QuadratureError(
-            f"quadrature did not converge to tol={tol} within depth {max_depth}",
-            best_estimate=total,
-        )
-    return total
-
-
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth <= 0:
-        return left + right + delta / 15.0, False
-    lv, lok = _adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-    rv, rok = _adaptive(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    return lv + rv, lok and rok
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:

@@ -1,6 +1,6 @@
-"""Large-mode-count limit: semicircular gain density, its closed-form mean
-log-gain, closed-form capacity PDF/CDF, and per-mode statistics derived
-from the CDF."""
+"""Large-mode-count limit: the semicircular log-gain density's closed-form
+mean log-gain, the closed-form capacity density, and per-mode statistics
+at the closed-form quantiles of the capacity CDF."""
 
 from __future__ import annotations
 
@@ -21,16 +21,6 @@ _ANGLES = np.arange(1, 65) * math.pi / 65
 GAUSS_NODES = 2.0 * np.cos(_ANGLES)
 GAUSS_WEIGHTS = 2.0 / 65 * np.sin(_ANGLES) ** 2
 GAUSS_NODES.flags.writeable = GAUSS_WEIGHTS.flags.writeable = False
-
-
-def semicircle_pdf(x: float, sigma_mdg_db: float, mu_lambda_db: float) -> float:
-    """Wigner semicircle density of the log gains; support mu +- 2 sigma."""
-    if sigma_mdg_db <= 0:
-        raise ValueError("sigma_mdg_db must be positive")
-    u = (x - mu_lambda_db) / sigma_mdg_db
-    if abs(u) >= 2.0:
-        return 0.0
-    return math.sqrt(4.0 - u * u) / (2.0 * math.pi * sigma_mdg_db)
 
 
 def mean_log_gain(spec: ChannelSpec) -> float:
@@ -77,19 +67,6 @@ def capacity_pdf(c: float, spec: ChannelSpec, mu_lambda_db: float) -> float:
         return 0.0
     return (5.0 * _LN2 * two_c / (math.pi * sigma * _LN10 * math.expm1(c * _LN2))
             * math.sqrt(radicand))
-
-
-def capacity_cdf(c: float, spec: ChannelSpec, mu_lambda_db: float) -> float:
-    """Closed-form capacity CDF in the semicircle limit, clamped off support."""
-    lo, hi = capacity_support(spec, mu_lambda_db)
-    if c <= lo:
-        return 0.0
-    if c >= hi:
-        return 1.0
-    sigma = spec.sigma_mdg_db
-    z = (gain_db_from_capacity(c, spec.snr_linear) - mu_lambda_db) / (2.0 * sigma)
-    z = max(-1.0, min(1.0, z))
-    return 0.5 + (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi
 
 
 @lru_cache(maxsize=128)

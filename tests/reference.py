@@ -1,0 +1,106 @@
+"""Reference implementations that the tests hold the package's closed forms
+to, kept out of the package because the package never calls them.
+
+``integrate`` is an adaptive-Simpson quadrature; ``semicircle_pdf`` is the
+Wigner density of the log gains and ``capacity_cdf`` the semicircle-limit
+capacity CDF, whose quantiles ``wigner.per_mode_means_from_cdf`` takes in
+closed form.
+"""
+
+from __future__ import annotations
+
+import math
+
+from sdmcap.wigner import capacity_support, gain_db_from_capacity
+
+
+class QuadratureError(Exception):
+    """Adaptive quadrature exhausted its subdivision budget.
+
+    Carries the best estimate obtained so far in ``best_estimate``.
+    """
+
+    def __init__(self, message, best_estimate):
+        super().__init__(message)
+        self.best_estimate = best_estimate
+
+
+def _simpson(f_a, f_m, f_b, h):
+    return h / 6.0 * (f_a + 4.0 * f_m + f_b)
+
+
+def integrate(f, lower: float, upper: float, tol: float = 1e-10,
+              initial_panels: int = 32, max_depth: int = 60) -> float:
+    """Adaptive-Simpson estimate of the integral of ``f`` on [lower, upper].
+
+    The interval is pre-split into ``initial_panels`` panels so narrow
+    features cannot be missed by the first coarse estimate.  Raises
+    QuadratureError (carrying the best estimate) if the depth budget is
+    exhausted anywhere.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if upper == lower:
+        return 0.0
+    if upper < lower:
+        return -integrate(f, upper, lower, tol, initial_panels, max_depth)
+
+    panel_tol = tol / initial_panels
+    total = 0.0
+    failed = False
+    width = (upper - lower) / initial_panels
+    for i in range(initial_panels):
+        a = lower + i * width
+        b = a + width
+        m = 0.5 * (a + b)
+        fa, fm, fb = f(a), f(m), f(b)
+        whole = _simpson(fa, fm, fb, b - a)
+        value, ok = _adaptive(f, a, b, fa, fm, fb, whole, panel_tol, max_depth)
+        total += value
+        failed = failed or not ok
+    if failed:
+        raise QuadratureError(
+            f"quadrature did not converge to tol={tol} within depth {max_depth}",
+            best_estimate=total,
+        )
+    return total
+
+
+def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0, True
+    if depth <= 0:
+        return left + right + delta / 15.0, False
+    lv, lok = _adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+    rv, rok = _adaptive(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+    return lv + rv, lok and rok
+
+
+def semicircle_pdf(x: float, sigma_mdg_db: float, mu_lambda_db: float) -> float:
+    """Wigner semicircle density of the log gains; support mu +- 2 sigma."""
+    if sigma_mdg_db <= 0:
+        raise ValueError("sigma_mdg_db must be positive")
+    u = (x - mu_lambda_db) / sigma_mdg_db
+    if abs(u) >= 2.0:
+        return 0.0
+    return math.sqrt(4.0 - u * u) / (2.0 * math.pi * sigma_mdg_db)
+
+
+def capacity_cdf(c: float, spec, mu_lambda_db: float) -> float:
+    """Closed-form capacity CDF in the semicircle limit, clamped off support."""
+    lo, hi = capacity_support(spec, mu_lambda_db)
+    if c <= lo:
+        return 0.0
+    if c >= hi:
+        return 1.0
+    sigma = spec.sigma_mdg_db
+    z = (gain_db_from_capacity(c, spec.snr_linear) - mu_lambda_db) / (2.0 * sigma)
+    z = max(-1.0, min(1.0, z))
+    return 0.5 + (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi

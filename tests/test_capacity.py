@@ -62,6 +62,18 @@ class TestPerModeStats:
         with pytest.raises(DegenerateDistributionError):
             capacity.per_mode_stats(ChannelSpec(6, 10.0, 5.0))
 
+    # the first sigma_mdg (0.5 dB scan) at which the lowest mode's -6 sigma
+    # gain maps to a capacity 2^c - 1 rounds to 0 at
+    @pytest.mark.parametrize("D, snr_db, sigma", [
+        (2, 0.0, 33.5), (2, 10.0, 35.0), (2, 20.0, 36.5),
+        (6, 0.0, 37.5), (6, 10.0, 39.5), (6, 20.0, 41.5),
+        (8, 0.0, 38.5), (8, 10.0, 40.5), (8, 20.0, 42.5),
+    ])
+    def test_gue_range_limit_is_a_typed_error(self, D, snr_db, sigma):
+        capacity.per_mode_stats(ChannelSpec(D, snr_db, sigma - 0.5))
+        with pytest.raises(DegenerateDistributionError, match="gain mean"):
+            capacity.per_mode_stats(ChannelSpec(D, snr_db, sigma))
+
     def test_auto_dispatch_boundary(self):
         assert capacity.per_mode_stats(
             ChannelSpec(8, 10.0, 3.0)).method == capacity.METHOD_GUE

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdmcap import cache, cli, fitting, total, wigner
+from sdmcap.capacity import per_mode_stats
+from sdmcap.channel import ChannelSpec
 from sdmcap.cli import build_parser, main
-from sdmcap.total import CorrelationModel
+from sdmcap.total import CorrelationModel, variance_terms
 
 
 def run_cli(capsys, *argv):
@@ -394,8 +396,11 @@ class TestFitCommand:
             model = CorrelationModel(payload["gamma0"], payload["gamma1"], D=4,
                                      snr_db=10.0)
             monkeypatch.undo()
-            assert payload["analytic_variances"] == [
-                cli._analytic_variance(model, s) for s in (1.0, 2.5, 5.0)]
+            expected = []
+            for s in (1.0, 2.5, 5.0):
+                a, b = variance_terms(per_mode_stats(ChannelSpec(4, 10.0, s)).cap_sigmas)
+                expected.append(a + b * model.combined_coefficient(s))
+            assert payload["analytic_variances"] == expected
 
 
 class TestSweep:
@@ -409,6 +414,20 @@ class TestSweep:
         assert len(lines) == 4  # header + 3 grid points
         analytic = [float(line.split(",")[3]) for line in lines[1:]]
         assert analytic == sorted(analytic)
+
+    def test_table_model_out_of_range_is_exit_2(self, capsys, monkeypatch):
+        # as ``analytic`` does for the same record: the variance is negative
+        def no_oracle(configs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "run_ensembles", no_oracle)
+        cache.store_gamma(CorrelationModel(5.0, 0.0, D=6, snr_db=10.0))
+        code = main(["sweep", "--modes", "6", "--snr-db", "10", "--sigma-grid", "2.5,5",
+                     "--trials", "50", "--sections", "5", "--seed", "1", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not positive" in captured.err
 
     def test_missing_gamma_small_grid_is_exit_3(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--modes", "5", "--snr-db", "11",

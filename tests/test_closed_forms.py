@@ -2,19 +2,20 @@
 
 The mean log-gain, the exact total-capacity mean, the GUE stationary points
 and the semicircle quantiles are computed from exact formulas.  These tests
-hold them to ``numerics.integrate`` over D in {2..8, 12, 20, 40, 100},
-sigma_mdg in [0.5, 15] dB and SNR in [0, 30] dB, and to per-mode values
-frozen from the quadrature, root-scan and bisection implementation.
+hold them to the reference quadrature ``tests.reference.integrate`` over D
+in {2..8, 12, 20, 40, 100}, sigma_mdg in [0.5, 15] dB and SNR in [0, 30] dB,
+and to per-mode values frozen from the quadrature, root-scan and bisection
+implementation.
 """
 
 import math
 
 import pytest
 
-from sdmcap import gue, total, wigner
+from sdmcap import gue, total
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
-from sdmcap.numerics import integrate
+from tests.reference import integrate, semicircle_pdf
 
 MODES = (2, 3, 4, 5, 6, 7, 8, 12, 20, 40, 100)
 SIGMAS = (0.5, 5.0, 15.0)
@@ -53,7 +54,7 @@ def _unit_density(D):
     if D <= gue.SUPPORTED_MAX:
         coeffs, unit = gue.derive_coefficients(D), ChannelSpec(D, 0.0, 1.0)
         return (lambda u: gue.ensemble_pdf(u, unit, coeffs, 0.0)), (-12.0, 12.0)
-    return (lambda u: wigner.semicircle_pdf(u, 1.0, 0.0)), (-2.0, 2.0)
+    return (lambda u: semicircle_pdf(u, 1.0, 0.0)), (-2.0, 2.0)
 
 
 @pytest.mark.parametrize("D", MODES)

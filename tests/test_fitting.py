@@ -114,8 +114,61 @@ class TestFit:
         with pytest.raises(ValueError):
             fitting.fit(6, 10.0, [1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
 
-    def test_fit_error_carries_best_candidate(self):
-        try:
-            raise FitError("no monotone fit", best_candidate="model")
-        except FitError as err:
-            assert err.best_candidate == "model"
+    def test_fit_error_carries_best_candidate(self, monkeypatch):
+        # (A, B) at the check sigmas 1, 1.5, 2, 2.5, 3: B rises from 1.5 to 2,
+        # so lowering gamma0 cannot repair the drop there
+        terms = iter([(1.0, -0.5), (1.2, -0.5), (0.8, -0.3), (1.5, -0.5), (1.7, -0.5)])
+        monkeypatch.setattr(fitting, "variance_terms", lambda cap_sigmas: next(terms))
+        with pytest.raises(FitError) as err:
+            fitting.fit(6, 10.0, [1.0, 2.0, 3.0], [0.1, 0.26, 0.8])
+        best = err.value.best_candidate
+        assert (best.D, best.snr_db) == (6, 10.0)
+        # the anchored candidate: the smallest-sigma variance matched exactly
+        assert 1.0 - 0.5 * best.combined_coefficient(1.0) == pytest.approx(0.1, rel=1e-12)
+        g = [best.combined_coefficient(s) for s in (1.5, 2.0)]
+        assert 0.8 - 0.3 * g[1] < 1.2 - 0.5 * g[0]
+
+
+# oracle variances of ``sdmcap fit --modes D --snr-db 30 --sigma-grid
+# 2.5,5,7.5 --trials 1000 --seed s`` (100 sections), keyed by (D, s): the
+# anchored fit of each is not monotone, so gamma0 is corrected
+CORRECTED_FITS = {
+    (4, 7): [2.056146360674362e-07, 1.4555502007924246e-05, 0.0006377501001030135],
+    (4, 8): [2.3326332552324566e-07, 1.799022063101646e-05, 0.0008570473670571294],
+    (20, 8): [2.3028312271573764e-07, 1.8608990780544246e-05, 0.0009151972226671592],
+}
+
+
+def _check_grid(grid):
+    return sorted(grid + [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])])
+
+
+def _rises(D, snr_db, sigmas, gamma0, gamma1):
+    curve = analytic_variances(D, snr_db, sigmas, gamma0, gamma1)
+    return all(b > a for a, b in zip(curve, curve[1:]))
+
+
+@pytest.mark.parametrize("D, seed", sorted(CORRECTED_FITS))
+def test_gamma0_correction_is_minimal(D, seed):
+    grid = [2.5, 5.0, 7.5]
+    oracle = CORRECTED_FITS[D, seed]
+    model = fitting.fit(D, 30.0, grid, oracle)
+    check = _check_grid(grid)
+    assert _rises(D, 30.0, check, model.gamma0, model.gamma1)
+    assert not _rises(D, 30.0, check, math.nextafter(model.gamma0, math.inf), model.gamma1)
+    a0, b0 = variance_terms(per_mode_stats(ChannelSpec(D, 30.0, 2.5)).cap_sigmas)
+    anchored = (oracle[0] - a0) / b0 - model.gamma1 * 2.5**2.75
+    assert model.gamma0 < anchored
+    assert list(model.grid_variances) == analytic_variances(
+        D, 30.0, grid, model.gamma0, model.gamma1)
+
+
+def test_gamma0_correction_ends_where_check_points_nearly_coincide():
+    # points 1e-12 dB apart: rounding moves the threshold far more than a
+    # few ulps off the bound, and the correction still ends on it
+    grid = [2.5, 5.0, 5.0 + 1e-12, 7.5]
+    v = CORRECTED_FITS[4, 7]
+    model = fitting.fit(4, 30.0, grid, [v[0], v[1], v[1], v[2]])
+    check = _check_grid(grid)
+    assert _rises(4, 30.0, check, model.gamma0, model.gamma1)
+    assert not _rises(4, 30.0, check, math.nextafter(model.gamma0, math.inf), model.gamma1)

