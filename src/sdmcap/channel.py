@@ -3,7 +3,17 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def check_integers(obj, names) -> None:
+    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names``
+    that is not an integer (Python or numpy); a ``bool`` is not a count."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,6 +32,7 @@ class ChannelSpec:
     freq_bins: int = 1
 
     def __post_init__(self):
+        check_integers(self, ("mode_count", "freq_bins"))
         if self.mode_count < 2:
             raise ValueError("mode_count must be >= 2")
         if not math.isfinite(self.snr_db):

@@ -136,7 +136,7 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> FittedModel:
     # positive below -rise / slope where B falls (slope < 0), above it where
     # B rises, and gamma0-free where B is level
     upper, lower = model.gamma0, -math.inf
-    points = [(a + b * model.gamma1 * s**model.exponent, b)
+    points = [(a + b * model.gamma1 * s**CORRELATION_EXPONENT, b)
               for s, (a, b) in zip(check_sigmas, check_terms)]
     for (o1, b1), (o2, b2) in zip(points, points[1:]):
         rise, slope = o2 - o1, b2 - b1

@@ -65,6 +65,10 @@ gains is already pinned exactly, since each section's log gains are drawn
 traceless); it leaves the covariance structure of the sorted gains intact
 and is the convention under which the analytic model is accurate, so it is
 the ensemble default.
+
+A result holds what the oracle determines; the per-mode statistics and the
+capacity correlation of its report are reductions of its samples, made by
+``result_to_json``, so a ``fit`` or ``sweep`` grid never builds them.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, check_integers
 from .errors import CalibrationError, EnsembleError, SdmCapError
 
 _STREAM_TRIAL = 0  # the stream kind of every spawn key
@@ -97,6 +101,7 @@ class McConfig:
     power_control: str = POWER_CONTROL_ENSEMBLE
 
     def __post_init__(self):
+        check_integers(self, ("sections", "trials", "calibration_trials"))
         if self.sections < 1 or self.calibration_trials < 1:
             raise ValueError("all counts must be positive")
         if self.trials < 2:
@@ -122,11 +127,6 @@ class McEnsembleResult:
     section_gain_db: float
     ensemble_shift_db: float  # deterministic gain applied in ensemble mode
     ensemble_gain_std_db: float
-    per_mode_gain_mean_db: list
-    per_mode_gain_std_db: list
-    per_mode_cap_mean: list
-    per_mode_cap_std: list
-    cap_correlation: list  # D x D
     total_mean: float
     total_var: float
     total_samples: list
@@ -303,14 +303,14 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
     One map over trials [min(starts), max(counts)), cut at the multiples of
     ``_chunk_size``: each worker's contiguous range walks its build blocks.
     A block takes its gain-independent factors from the memo or builds them,
-    chains them at every gain whose range covers it and keeps only the
-    spectra and controls, so a worker holds the factors of its current block
-    and of the last one.  A block whose chain raises ``LinAlgError`` is
-    chained row by row from its factors, and one whose build raises is
-    rebuilt row by row, each row from its own stream, which also gives its
-    control; a row that still fails is NaN.  Overflow in the chain is not
-    reported: its rows come out non-finite or non-positive, and the caller
-    handles them.
+    takes their controls once, chains them at every gain whose range covers
+    it and keeps only the spectra and controls, so a worker holds the
+    factors of its current block and of the last one.  A block whose chain
+    raises ``LinAlgError`` is chained row by row from its factors, and one
+    whose build raises is rebuilt row by row, each row from its own stream,
+    which also gives its control; a row that still fails is NaN.  Overflow
+    in the chain is not reported: its rows come out non-finite or
+    non-positive, and the caller handles them.
 
     ``memo`` is a list the caller keeps across calls with the same D, K,
     bins and seed: entry k holds the factors of the whole build block k.
@@ -330,12 +330,12 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
     spectra = [np.empty(((n - s) * bins, D)) for s, n in zip(starts, counts)]
     controls = [np.empty((n - s) * bins) for s, n in zip(starts, counts)]
 
-    def chain(factors, g_db, lo, hi):
-        # the spectra and controls of trials [lo, hi) from their factors, or
-        # rebuilt row by row when ``factors`` is None (their build failed)
+    def chain(factors, control, g_db, lo, hi):
+        # the spectra and controls of trials [lo, hi) from their factors and
+        # controls, or rebuilt row by row when ``factors`` is None (their
+        # build failed)
         with np.errstate(over="ignore", invalid="ignore"):
             if factors is not None:
-                control = _control(factors[1])
                 try:
                     return _section_gains(factors, g_db, power_control), control
                 except np.linalg.LinAlgError:
@@ -376,13 +376,15 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
                     factors = None
                 if k < limit:
                     kept.append((k, factors))
+            control = None if factors is None else _control(factors[1])  # once for every gain
             for i, (g, s, n) in enumerate(zip(gains_db, starts, counts)):
                 t0, t1 = max(a, s), min(b, n)
                 if t0 < t1:
-                    rows = None if factors is None else tuple(
-                        f[(t0 - p) * bins:(t1 - p) * bins] for f in factors)
+                    cut = slice((t0 - p) * bins, (t1 - p) * bins)
+                    rows = None if factors is None else tuple(f[cut] for f in factors)
                     out = slice((t0 - s) * bins, (t1 - s) * bins)
-                    spectra[i][out], controls[i][out] = chain(rows, g, t0, t1)
+                    spectra[i][out], controls[i][out] = chain(
+                        rows, None if control is None else control[cut], g, t0, t1)
         return kept
 
     lo, hi = min(starts, default=0), max(counts, default=0)
@@ -741,8 +743,11 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
                discarded) -> McEnsembleResult:
     """The result of one config from its calibration, its (trials, relative
     standard error) and its simulated gains (trials, bins, D), and the
-    trials to discard, at most 1 % of them."""
-    D = config.spec.mode_count
+    trials to discard, at most 1 % of them.  Of the reductions it makes only
+    the pooled gain std and the total's mean and variance; the per-mode ones
+    are ``result_to_json``'s.  A sample in which some modes' capacities vary
+    and others' do not raises ``SdmCapError``, as its report's correlation
+    would."""
     if discarded:
         discarded = sorted(set(discarded))
         if len(discarded) > 0.01 * config.trials:
@@ -765,26 +770,18 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
     gains = gains_bins.mean(axis=1)
     caps = cap_bins.mean(axis=1)
     totals = cap_bins.sum(axis=2).mean(axis=1)
-
-    total_mean = float(totals.mean())
-    total_var = float(totals.var(ddof=1))
-    if np.any(caps.std(axis=0) > 0.0):
-        corr = empirical_correlation(caps)
-    else:
-        corr = np.eye(D)
+    # its report's correlation needs every mode to vary, or none (identity)
+    spread = caps.std(axis=0)
+    if np.any(spread == 0.0) and np.any(spread > 0.0):
+        raise SdmCapError("zero variance in a mode; correlation undefined")
 
     return McEnsembleResult(
         config=config,
         section_gain_db=g_db,
         ensemble_shift_db=shift_db,
         ensemble_gain_std_db=float(gains.ravel().std(ddof=1)),
-        per_mode_gain_mean_db=gains.mean(axis=0).tolist(),
-        per_mode_gain_std_db=gains.std(axis=0, ddof=1).tolist(),
-        per_mode_cap_mean=caps.mean(axis=0).tolist(),
-        per_mode_cap_std=caps.std(axis=0, ddof=1).tolist(),
-        cap_correlation=corr.tolist(),
-        total_mean=total_mean,
-        total_var=total_var,
+        total_mean=float(totals.mean()),
+        total_var=float(totals.var(ddof=1)),
         total_samples=totals.tolist(),
         discarded_trials=len(discarded),
         calibration_trials_used=sized[0],
@@ -796,8 +793,16 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
 
 def result_to_json(result: McEnsembleResult) -> str:
     """Deterministic JSON serialization of an ensemble result, with the
-    histograms of its pooled gains, per-mode capacities and totals."""
+    per-mode means and stds of its gains and capacities, the capacities'
+    correlation matrix (the identity when no mode's capacity varies) and
+    the histograms of its pooled gains, per-mode capacities and totals, all
+    reduced from its samples."""
     cfg = result.config
+    gains, caps = result.gain_samples, result.cap_samples
+    if np.any(caps.std(axis=0) > 0.0):
+        corr = empirical_correlation(caps)
+    else:
+        corr = np.eye(cfg.spec.mode_count)
     payload = {
         "schema": 1,
         "config": {
@@ -815,18 +820,18 @@ def result_to_json(result: McEnsembleResult) -> str:
         "section_gain_db": result.section_gain_db,
         "ensemble_shift_db": result.ensemble_shift_db,
         "ensemble_gain_std_db": result.ensemble_gain_std_db,
-        "per_mode_gain_mean_db": result.per_mode_gain_mean_db,
-        "per_mode_gain_std_db": result.per_mode_gain_std_db,
-        "per_mode_cap_mean_bits_per_s_per_hz": result.per_mode_cap_mean,
-        "per_mode_cap_std_bits_per_s_per_hz": result.per_mode_cap_std,
-        "cap_correlation": result.cap_correlation,
+        "per_mode_gain_mean_db": gains.mean(axis=0).tolist(),
+        "per_mode_gain_std_db": gains.std(axis=0, ddof=1).tolist(),
+        "per_mode_cap_mean_bits_per_s_per_hz": caps.mean(axis=0).tolist(),
+        "per_mode_cap_std_bits_per_s_per_hz": caps.std(axis=0, ddof=1).tolist(),
+        "cap_correlation": corr.tolist(),
         "total_mean_bits_per_s_per_hz": result.total_mean,
         "total_var": result.total_var,
         "discarded_trials": result.discarded_trials,
         "calibration_trials_used": result.calibration_trials_used,
         "calibration_rel_se": result.calibration_rel_se,
-        "gain_histogram": _histogram(result.gain_samples.ravel(), 80),
-        "per_mode_cap_histograms": [_histogram(c, 60) for c in result.cap_samples.T],
+        "gain_histogram": _histogram(gains.ravel(), 80),
+        "per_mode_cap_histograms": [_histogram(c, 60) for c in caps.T],
         "total_histogram": _histogram(result.total_samples, 60),
         "total_samples": result.total_samples,
     }

@@ -31,21 +31,19 @@ class CorrelationModel:
     gamma1: float
     D: int
     snr_db: float
-    exponent: float = CORRELATION_EXPONENT
 
     def combined_coefficient(self, sigma_mdg_db: float) -> float:
-        """g = gamma0 + gamma1 sigma_mdg^exponent, the one place the two
-        coefficients enter the correlation and the total variance."""
-        return self.gamma0 + self.gamma1 * sigma_mdg_db**self.exponent
+        """g = gamma0 + gamma1 sigma_mdg^CORRELATION_EXPONENT, the one place
+        the two coefficients enter the correlation and the total variance."""
+        return self.gamma0 + self.gamma1 * sigma_mdg_db**CORRELATION_EXPONENT
 
 
 @dataclass(frozen=True)
 class TotalCapacityStats:
-    """Gaussian total-capacity parameters over ``n_bins`` frequency bins."""
+    """Gaussian total-capacity parameters."""
 
     mu_ct: float  # bit/s/Hz, sum of per-mode Gaussian means
     sigma_ct: float  # bit/s/Hz
-    n_bins: int = 1
 
 
 def correlation(i: int, j: int, sigma_mdg_db: float,
@@ -150,8 +148,7 @@ def apply_frequency_diversity(stats: TotalCapacityStats, N: int) -> TotalCapacit
     reduced by sqrt(N)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return replace(stats, sigma_ct=stats.sigma_ct / math.sqrt(N),
-                   n_bins=stats.n_bins * N)
+    return replace(stats, sigma_ct=stats.sigma_ct / math.sqrt(N))
 
 
 def _normal_quantile(p: float) -> float:

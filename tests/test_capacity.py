@@ -34,6 +34,18 @@ class TestCapacityFromGain:
             capacity.capacity_from_gain(0.0, 0.0)
 
 
+class TestChannelSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("mode_count", 6.5), ("mode_count", 6.0), ("mode_count", True),
+        ("freq_bins", 1.5), ("freq_bins", 2.0), ("freq_bins", True),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # such a count failed later, deep in the analytic path, as TypeError
+        counts = {"mode_count": 6, "freq_bins": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ChannelSpec(snr_db=10.0, sigma_mdg_db=5.0, **counts)
+
+
 @pytest.fixture(scope="module")
 def case_study():
     return capacity.per_mode_stats(ChannelSpec(6, 10.0, 5.0))

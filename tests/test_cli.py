@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdmcap import cache, cli, fitting, total, wigner
+from sdmcap import cache, cli, fitting, mc, total, wigner
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.cli import build_parser, main
@@ -401,6 +401,22 @@ class TestFitCommand:
                 a, b = variance_terms(per_mode_stats(ChannelSpec(4, 10.0, s)).cap_sigmas)
                 expected.append(a + b * model.combined_coefficient(s))
             assert payload["analytic_variances"] == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--modes", "20", "--snr-db", "10", "--sigma-grid", "2.5,5,7.5",
+         "--trials", "200", "--sections", "5", "--seed", "51"],
+        ["sweep", "--modes", "4,5", *_ORACLE_ARGS, "--sigma-grid", "1,2.5,5"],
+    ], ids=lambda argv: argv[0])
+    def test_builds_no_capacity_correlation(self, capsys, monkeypatch, argv):
+        # fit and sweep read only each sigma's total variance
+        code, expected = run_cli(capsys, *argv)
+        assert code == 0
+
+        def no_correlation(caps):
+            raise AssertionError("a capacity correlation was built")
+
+        monkeypatch.setattr(mc, "empirical_correlation", no_correlation)
+        assert run_cli(capsys, *argv) == (0, expected)
 
 
 class TestSweep:

@@ -2,7 +2,8 @@
 no private module-level function, class or assigned name of the package
 goes unused, no test module keeps a private module-level helper that it
 never uses itself, and no public function, class, method or property of
-the package is read by tests alone.
+the package is read by tests alone, and no field of a dataclass of the
+package goes unread by it.
 
 A stdlib ``ast`` pass in place of a linter, so the check needs no extra
 dependency.  A module-level import counts as used when its bound name is
@@ -11,7 +12,10 @@ re-exports).  A private definition of the package counts as used when the
 package reads its name (bare, as an attribute or in an import) outside its
 own body; one of a test module, when that module reads it so.  A public
 definition counts as used by the same rule; a name that ``__init__``
-re-exports is read by that import.
+re-exports is read by that import.  A dataclass field counts as read when
+the package reads an attribute of its name anywhere but inside a keyword
+argument of that name, which only rebuilds the same field
+(``replace(stats, n=stats.n * N)``).
 """
 
 import ast
@@ -140,3 +144,37 @@ def test_bench_reads_its_allowed_names(name):
     path, line = BENCH_READS[name].split(":")
     text = (Path(__file__).parent.parent / path).read_text().splitlines()[int(line) - 1]
     assert name in text, f"{BENCH_READS[name]} no longer reads {name}"
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of each field of each dataclass at module
+    level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def _attribute_reads(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _field_reads(tree) -> Counter:
+    """``_attribute_reads`` less those inside a keyword argument of the
+    attribute's own name."""
+    reads = _attribute_reads(tree)
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.keyword) and sub.arg:
+            reads[sub.arg] -= _attribute_reads(sub.value)[sub.arg]
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    reads = sum((_field_reads(tree) for tree in trees), Counter())
+    unread = sorted(f"{cls}.{name}" for tree in trees for cls, name in _dataclass_fields(tree)
+                    if reads[name] <= 0 and name not in BENCH_READS)
+    assert not unread, f"dataclass fields the package never reads: {', '.join(unread)}"

@@ -54,6 +54,15 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(SPEC_D6, power_control="per-section")
 
+    @pytest.mark.parametrize("field, value", [
+        ("sections", 3.5), ("sections", True), ("trials", 10.5), ("trials", True),
+        ("trials", 10.0), ("calibration_trials", 8.5), ("calibration_trials", True),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # such a count failed later, deep in the oracle, as TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(ChannelSpec(4, 10.0, 3.0), **{field: value})
+
     def test_freq_bins_falls_back_to_spec(self):
         assert McConfig(ChannelSpec(6, 10.0, 5.0, freq_bins=3)).effective_freq_bins == 3
         assert McConfig(SPEC_D6).effective_freq_bins == 1
@@ -1085,7 +1094,7 @@ class TestRunTrial:
 
 class TestEmpiricalCorrelation:
     def test_diagonal_and_symmetry(self, small_ensemble):
-        corr = np.array(small_ensemble.cap_correlation)
+        corr = empirical_correlation(small_ensemble.cap_samples)
         assert np.abs(np.diagonal(corr) - 1.0).max() <= 1e-12
         assert np.abs(corr - corr.T).max() <= 1e-12
 
@@ -1136,7 +1145,7 @@ class TestRunEnsemble:
         # wider than the per-mode-parameter accuracy itself
         res = run_ensemble(McConfig(SPEC_D6, trials=1000, seed=17))
         expected = [1.022, 1.653, 2.330, 3.067, 3.887, 4.865]
-        diffs = np.abs(np.array(res.per_mode_cap_mean) - np.array(expected))
+        diffs = np.abs(res.cap_samples.mean(axis=0) - np.array(expected))
         assert diffs.max() < 0.08
 
     def test_freq_bins_average_reduces_spread(self):

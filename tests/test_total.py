@@ -140,7 +140,6 @@ class TestFrequencyDiversity:
         assert ts.sigma_ct == pytest.approx(0.128, abs=0.002)
         assert ts.sigma_ct == pytest.approx(SIGMA_CT_N2, abs=1e-9)
         assert ts.mu_ct == pytest.approx(MU_CT, abs=1e-12)
-        assert ts.n_bins == 2
 
     def test_composition(self, case_stats, model):
         ts = total.total_stats(case_stats, model, 5.0)
@@ -148,7 +147,6 @@ class TestFrequencyDiversity:
         twice = total.apply_frequency_diversity(
             total.apply_frequency_diversity(ts, 2), 2)
         assert once.sigma_ct == pytest.approx(twice.sigma_ct, abs=1e-14)
-        assert once.n_bins == twice.n_bins == 4
 
     def test_rejects_non_positive_bins(self, case_stats, model):
         ts = total.total_stats(case_stats, model, 5.0)

@@ -106,7 +106,7 @@ def d20():
 class TestAgainstOracle:
     def test_d20_means_match_simulated_averages(self, d20):
         spec, stats, result = d20
-        diffs = np.abs(np.array(result.per_mode_cap_mean)
+        diffs = np.abs(result.cap_samples.mean(axis=0)
                        - np.array(stats.cap_means))
         assert diffs.max() < 0.05
 
@@ -134,7 +134,7 @@ class TestAgainstOracle:
         spec = ChannelSpec(12, 10.0, 5.0)
         stats = per_mode_stats(spec)
         result = run_ensemble(McConfig(spec, trials=2000, seed=9))
-        ratio = np.array(stats.cap_sigmas) / np.array(result.per_mode_cap_std)
+        ratio = np.array(stats.cap_sigmas) / result.cap_samples.std(axis=0, ddof=1)
         assert np.all(np.array(stats.cap_sigmas) > 0)
         assert np.all(ratio < 2.0)
         assert np.all(ratio > 0.5)
