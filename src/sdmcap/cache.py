@@ -13,6 +13,7 @@ concurrent writers neither lose records nor expose a half-written file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -64,9 +65,10 @@ def cached_coefficients(D: int) -> GueCoefficients:
     return derive_coefficients(D)
 
 
-def _shipped_gamma_records() -> list:
+@functools.cache  # the shipped table is read and parsed once per process
+def _shipped_gamma_records() -> tuple:
     text = resources.files("sdmcap").joinpath("data", GAMMA_TABLE_FILE).read_text()
-    return json.loads(text)
+    return tuple(json.loads(text))
 
 
 def _same_pair(record: dict, D: int, snr_db: float) -> bool:
@@ -94,7 +96,7 @@ def load_gamma_table() -> list:
     gamma1} dicts); a local record overrides any shipped one with the same
     D and an SNR within the match tolerance, and a malformed one is
     ignored."""
-    records = _shipped_gamma_records()
+    records = [dict(r) for r in _shipped_gamma_records()]
     for r in _local_records(_gamma_table_path()):
         records = [s for s in records if not _same_pair(s, r["D"], r["snr_db"])] + [r]
     return sorted(records, key=lambda r: (r["D"], r["snr_db"]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -101,11 +102,15 @@ def _compact_json(value) -> str:
 
 
 def _toeplitz_json(matrix: total.ToeplitzRows) -> str:
-    """``_compact_json(matrix)``, built from the JSON texts of its D lags."""
+    """``_compact_json(matrix)``: row i is the slice from element D - 1 - i
+    of the one joined text of lags D - 1, ..., 1, 0, 1, ..., D - 1."""
     # no JSON number text (nor NaN, Infinity) holds a comma
     texts = _compact_json(matrix.lags)[1:-1].split(",") if matrix.lags else []
-    return "[" + ",".join("[" + ",".join(row) + "]"
-                          for row in total.ToeplitzRows.rows(texts)) + "]"
+    mirrored = texts[:0:-1] + texts
+    starts = list(itertools.accumulate((len(t) + 1 for t in mirrored), initial=0))
+    line, D = ",".join(mirrored), len(texts)
+    return "[" + ",".join("[" + line[starts[k]:starts[k + D] - 1] + "]"
+                          for k in range(D - 1, -1, -1)) + "]"
 
 
 def _json_report(payload: dict) -> str:

@@ -44,10 +44,11 @@ def _gauss_hermite(n: int):
 _HERMITE_NODES, _HERMITE_WEIGHTS = _gauss_hermite(80)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GueCoefficients:
     """Normalization alpha and even-power polynomial coefficients beta of the
-    ensemble log-gain density for mode count D."""
+    ensemble log-gain density for mode count D; compared and hashed by
+    identity, so a cache keyed on it hashes no ``Fraction``."""
 
     D: int
     alpha: float

@@ -130,11 +130,15 @@ class McEnsembleResult:
     total_mean: float
     total_var: float
     total_samples: list
-    discarded_trials: int = 0
+    discarded: tuple = ()  # stream indices of the discarded trials, ascending
     calibration_trials_used: int = 0  # trials of the calibration sample
     calibration_rel_se: float | None = None  # its pooled std's, as estimated
     gain_samples: np.ndarray = field(default=None, repr=False)
     cap_samples: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def discarded_trials(self) -> int:
+        return len(self.discarded)
 
 
 def _rng(seed: int, trial: int, bin_index: int = 0):
@@ -745,9 +749,7 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
     standard error) and its simulated gains (trials, bins, D), and the
     trials to discard, at most 1 % of them.  Of the reductions it makes only
     the pooled gain std and the total's mean and variance; the per-mode ones
-    are ``result_to_json``'s.  A sample in which some modes' capacities vary
-    and others' do not raises ``SdmCapError``, as its report's correlation
-    would."""
+    are ``result_to_json``'s."""
     if discarded:
         discarded = sorted(set(discarded))
         if len(discarded) > 0.01 * config.trials:
@@ -770,10 +772,6 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
     gains = gains_bins.mean(axis=1)
     caps = cap_bins.mean(axis=1)
     totals = cap_bins.sum(axis=2).mean(axis=1)
-    # its report's correlation needs every mode to vary, or none (identity)
-    spread = caps.std(axis=0)
-    if np.any(spread == 0.0) and np.any(spread > 0.0):
-        raise SdmCapError("zero variance in a mode; correlation undefined")
 
     return McEnsembleResult(
         config=config,
@@ -783,7 +781,7 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
         total_mean=float(totals.mean()),
         total_var=float(totals.var(ddof=1)),
         total_samples=totals.tolist(),
-        discarded_trials=len(discarded),
+        discarded=tuple(discarded),
         calibration_trials_used=sized[0],
         calibration_rel_se=sized[1],
         gain_samples=gains,
@@ -839,9 +837,8 @@ def result_to_json(result: McEnsembleResult) -> str:
 
 
 def result_to_csv_rows(result: McEnsembleResult):
-    """Per-trial rows: trial index, D gains (dB), D capacities, total."""
-    rows = []
-    for t, (g, c, s) in enumerate(zip(result.gain_samples, result.cap_samples,
-                                      result.total_samples)):
-        rows.append([t, *map(float, g), *map(float, c), float(s)])
-    return rows
+    """Per-trial rows: the trial's stream index, D gains (dB), D capacities,
+    total; a discarded trial has no row."""
+    kept = sorted(set(range(result.config.trials)) - set(result.discarded))
+    return [[t, *map(float, g), *map(float, c), float(s)] for t, g, c, s in
+            zip(kept, result.gain_samples, result.cap_samples, result.total_samples)]

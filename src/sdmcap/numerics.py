@@ -1,5 +1,5 @@
-"""Numeric kernels: Hermite polynomials with exact coefficients,
-bisection, the inverse error function and the Gaussian match of a density.
+"""Numeric kernels: Hermite polynomials with exact coefficients, the
+inverse error function and the Gaussian match of a density.
 """
 
 from __future__ import annotations
@@ -28,27 +28,6 @@ def hermite(n: int) -> tuple:
             math.factorial(k) * math.factorial(power),
         )
     return tuple(coeffs)
-
-
-def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on a sign-change bracket [a, b]; |f| <= tol or width <= tol."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisect requires a sign change on [a, b]")
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= tol or (b - a) <= tol:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def matched_sigma(density: float, modes: int = 1) -> float:

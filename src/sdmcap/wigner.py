@@ -53,14 +53,16 @@ def capacity_support(spec: ChannelSpec, mu_lambda_db: float):
     return lo, hi
 
 
-def capacity_pdf(c: float, spec: ChannelSpec, mu_lambda_db: float) -> float:
-    """Ensemble capacity density in the semicircle limit; zero off support."""
-    lo, hi = capacity_support(spec, mu_lambda_db)
+def capacity_pdf(c: float, spec: ChannelSpec, mu_lambda_db: float,
+                 support=None, lam_db=None) -> float:
+    """Ensemble capacity density in the semicircle limit; zero off support.
+    A caller may pass the link's ``capacity_support`` and ``c``'s gain."""
+    lo, hi = support or capacity_support(spec, mu_lambda_db)
     if not lo < c < hi:
         return 0.0
     sigma = spec.sigma_mdg_db
     two_c = 2.0**c
-    lam_db = gain_db_from_capacity(c, spec.snr_linear)
+    lam_db = gain_db_from_capacity(c, spec.snr_linear) if lam_db is None else lam_db
     u = (lam_db - mu_lambda_db) / sigma
     radicand = 4.0 - u * u
     if radicand <= 0.0:
@@ -103,7 +105,10 @@ def per_mode_means_from_cdf(spec: ChannelSpec, mu_lambda_db: float):
             for z in _quantile_offsets(spec.mode_count)]
 
 
-def per_mode_sigmas_from_pdf(spec: ChannelSpec, mu_lambda_db: float, means):
-    """Per-mode capacity deviations from the ensemble density at each mean."""
-    return [matched_sigma(capacity_pdf(mu_c, spec, mu_lambda_db), spec.mode_count)
-            for mu_c in means]
+def per_mode_sigmas_from_pdf(spec: ChannelSpec, mu_lambda_db: float, means, gains=None):
+    """Per-mode capacity deviations from the ensemble density at each mean,
+    whose gains (dB) a caller may pass as ``gains``."""
+    support = capacity_support(spec, mu_lambda_db)
+    gains = gains or [gain_db_from_capacity(c, spec.snr_linear) for c in means]
+    return [matched_sigma(capacity_pdf(c, spec, mu_lambda_db, support, x), spec.mode_count)
+            for c, x in zip(means, gains)]

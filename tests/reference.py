@@ -4,13 +4,17 @@ to, kept out of the package because the package never calls them.
 ``integrate`` is an adaptive-Simpson quadrature; ``semicircle_pdf`` is the
 Wigner density of the log gains and ``capacity_cdf`` the semicircle-limit
 capacity CDF, whose quantiles ``wigner.per_mode_means_from_cdf`` takes in
-closed form.
+closed form.  ``bisect`` and ``capacity_mean_by_bisection`` solve a GUE
+mode's capacity mean in the capacity domain, as
+``capacity.per_mode_capacity_mean`` does in the gain domain.
 """
 
 from __future__ import annotations
 
 import math
 
+from sdmcap.capacity import capacity_from_gain
+from sdmcap.errors import DegenerateDistributionError
 from sdmcap.wigner import capacity_support, gain_db_from_capacity
 
 
@@ -104,3 +108,47 @@ def capacity_cdf(c: float, spec, mu_lambda_db: float) -> float:
     z = (gain_db_from_capacity(c, spec.snr_linear) - mu_lambda_db) / (2.0 * sigma)
     z = max(-1.0, min(1.0, z))
     return 0.5 + (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi
+
+
+def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Bisection on a sign-change bracket [a, b]; |f| <= tol or width <= tol."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("bisect requires a sign change on [a, b]")
+    for _ in range(max_iter):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if abs(fm) <= tol or (b - a) <= tol:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def capacity_mean_by_bisection(mean_db: float, sigma_db: float, snr_linear: float) -> float:
+    """A stationary point of the capacity density of a mode with Gaussian log
+    gain N(``mean_db``, ``sigma_db``^2): the root of its stationarity
+    condition in capacity c, bisected over the capacities of the +-6 sigma
+    gain window.  Raises DegenerateDistributionError where the window's
+    lower capacity rounds to 0, since the condition is undefined there."""
+    ln10 = math.log(10.0)
+
+    def stationarity(c):
+        two_c = 2.0**c
+        lam_db = 10.0 / ln10 * math.log((two_c - 1.0) / snr_linear)
+        return 10.0 * two_c / (sigma_db * sigma_db * ln10) * (lam_db - mean_db) + 1.0
+
+    lo = capacity_from_gain(mean_db - 6.0 * sigma_db, snr_linear)
+    if 2.0**lo == 1.0:
+        raise DegenerateDistributionError(
+            f"the mode with gain mean {mean_db} dB and deviation {sigma_db} dB has "
+            f"capacity {lo} at its -6 sigma gain, where its stationarity "
+            f"condition is undefined")
+    hi = capacity_from_gain(mean_db + 6.0 * sigma_db, snr_linear)
+    return bisect(stationarity, lo, hi)

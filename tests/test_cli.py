@@ -136,15 +136,18 @@ class TestNonFiniteInputs:
 
 
 # stdout SHA-256 of `analytic --modes D --snr-db 10 --sigma-mdg-db 5 --gamma -0.1,0`
-# as the report was written when it encoded every matrix entry with json.dumps
+# as the report was written when it encoded every matrix entry with json.dumps.
+# The GUE entries (D <= 8) were re-frozen when each mode's capacity mean moved
+# from a 1e-12 bisection in capacity to Newton in the gain domain: its
+# capacity means, deviations and the totals moved by at most 2.4e-13 relative
 _FROZEN_REPORT_SHA256 = {
-    (2, "json"): "7c2170f78d1e24443590e06242d04d96e95ff9c65195dba29e0f9a5e76cd4a8d",
-    (2, "csv"): "f96b777c38433d6ff939047d4ac4fa277bc978487e2e05ecc309ca8f09ed4510",
-    (4, "json"): "5f10f61dd86e2dfa0a06ed3f7f8789eadaf309bcdef60fb4c2b644ffdba69ac6",
-    (6, "json"): "1cb7662ae4b32910307f0da51f1417559c9fff200524b22700e06afbbfd39b9b",
-    (6, "csv"): "9a5243484c93180a7c32c2cd03fc6dfe70a71c3bbfaa40d3bd21465fb1c7f5e4",
+    (2, "json"): "c1f3306c9d6616285dcca84979706aa40b8b9b1efb1a32a7164e0876af64dda2",
+    (2, "csv"): "3ed327163aa41fed858393b3a71d31de2410e0dee9477542e47f2aee00166f5f",
+    (4, "json"): "a64c28e13302860e8ea78c21ddbd43622e28565e002a2c518b88b7ec5c8e3fcc",
+    (6, "json"): "40be412cca198f4db96a2c8f562555cfd5be107e0ccfd213f0bbb45c1dc4c7c6",
+    (6, "csv"): "757e413faf215490187bbcfab4263fdee2d3f5b7a09afea117fdd4d31ce14614",
     # the last GUE point and the first semicircle point
-    (8, "json"): "04314f165cd952590fbcfc69b9b5bef31d138b7843e119545e15be3cdd97ce63",
+    (8, "json"): "bbde5a87ae576c57943ec57a03276f5989b079a8ef743d6ea828e18cd0976b73",
     (9, "json"): "0d5a971fb30d04a5875893912a21dda604c285af2fd82dfb19e11080eebeeb38",
     (40, "json"): "5505f1ec99cc9485b5d719deca97cf4d10a8b5761d8dd06da5470ef42f5bba0b",
     (40, "csv"): "a3a5760f58de9f128a923165635f152bf5591ef2b8104f61fa7f0ad7961320d9",
@@ -158,12 +161,35 @@ def _report(capsys, D, fmt="json"):
                    "--sigma-mdg-db", "5", "--gamma", "-0.1,0", "--format", fmt)
 
 
+# SHA-256 of the 60 semicircle-track reports of the bench's analytic grid,
+# D in (12, 20, 40, 100) x SNR in (5, 10, 20) dB x sigma in (1, 2.5, 5,
+# 7.5, 10) dB, their stdouts joined in that order
+_FROZEN_SEMICIRCLE_GRID_SHA256 = {
+    "json": "153ca2720082672f1f339eac72b478fc2d60c916f10691e370bfe65ad1b68ad7",
+    "csv": "56fc84b7f0429756df0b04cd722f7ac89ad78a308f652e254d8cfdd67eaf1c9f",
+}
+
+
 class TestReportEncoding:
     @pytest.mark.parametrize("D, fmt", list(_FROZEN_REPORT_SHA256))
     def test_stdout_is_frozen(self, capsys, D, fmt):
         code, out = _report(capsys, D, fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _FROZEN_REPORT_SHA256[D, fmt]
+
+    @pytest.mark.parametrize("fmt", list(_FROZEN_SEMICIRCLE_GRID_SHA256))
+    def test_semicircle_grid_is_frozen(self, capsys, fmt):
+        digest = hashlib.sha256()
+        for D in (12, 20, 40, 100):
+            for snr in (5.0, 10.0, 20.0):
+                for sigma in (1.0, 2.5, 5.0, 7.5, 10.0):
+                    code, out = run_cli(
+                        capsys, "analytic", "--modes", str(D), "--snr-db", repr(snr),
+                        "--sigma-mdg-db", repr(sigma), "--bins", "2", "--pout", "0.01",
+                        "--gamma", "0,0", "--format", fmt)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == _FROZEN_SEMICIRCLE_GRID_SHA256[fmt]
 
     @pytest.mark.parametrize("D", [2, 6, 40, 100])
     def test_json_is_the_compact_sorted_dump(self, capsys, D):

@@ -16,10 +16,11 @@ GRID = [1.0, 2.5, 5.0, 7.5]
 # float.hex of gamma0, gamma1 and the analytic variances that ``fit`` gives
 # for fixed synthetic oracle variances on the grid 2.5, 5, 7.5 dB at 10 dB
 # SNR, frozen so that a rewrite of the variance formula or of the search
-# changes no bit
+# changes no bit.  D = 4 was re-frozen when the GUE track's capacity means
+# moved from a 1e-12 bisection in capacity to Newton in the gain domain
 FROZEN_FITS = {
-    4: ([0.07, 0.27, 0.55], "0x1.0558d4211dc7ap-1", "0x1.67a304a6aebd4p-15",
-        ["0x1.1eb851eb851ecp-4", "0x1.03ca3d66094bap-2", "0x1.21edcd7b2f860p-1"]),
+    4: ([0.07, 0.27, 0.55], "0x1.0558d42093396p-1", "0x1.67a307704d918p-15",
+        ["0x1.1eb851eb851ecp-4", "0x1.03ca3d5fd70acp-2", "0x1.21edcd6c69ef6p-1"]),
     20: ([0.075, 0.22, 0.39], "0x1.94007853940c8p-5", "0x1.8dd2847f13e84p-14",
          ["0x1.3333333333333p-4", "0x1.d8800be5116b9p-3", "0x1.89407bb05d604p-2"]),
 }

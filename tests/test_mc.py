@@ -1138,6 +1138,17 @@ class TestRunEnsemble:
         assert res.total_var == 0.0
         assert res.total_mean == pytest.approx(4 * math.log2(11.0), abs=1e-12)
 
+    def test_partly_varying_modes_give_a_total_but_no_report(self):
+        # one mode's capacity varies, the other's does not: fit and sweep
+        # read only the total variance; the report's correlation is undefined
+        res = run_ensemble(McConfig(ChannelSpec(2, 10.0, 1e-15), sections=1, trials=2,
+                                    seed=2, calibration_trials=40))
+        spread = res.cap_samples.std(axis=0)
+        assert np.any(spread == 0.0) and np.any(spread > 0.0)
+        assert math.isfinite(res.total_var)
+        with pytest.raises(SdmCapError, match="zero variance in a mode"):
+            result_to_json(res)
+
     def test_case_study_capacity_means(self):
         # analytic per-mode means are density modes; the simulated sample
         # means of the upper modes sit slightly above them because the
@@ -1171,6 +1182,30 @@ class TestRunEnsemble:
         res = run_ensemble(McConfig(SPEC_D6, trials=300, seed=2))
         assert res.discarded_trials == 1
         assert len(res.total_samples) == 299
+
+    def test_csv_rows_keep_their_trial_index_after_a_discard(self, monkeypatch):
+        # under per-trial power control each kept trial's row is the one a
+        # run without the failure gives that trial
+        _calibrated_at(monkeypatch, 0.5)
+        config = McConfig(SPEC_D6, trials=300, seed=2, power_control=POWER_CONTROL_TRIAL)
+        clean = result_to_csv_rows(run_ensemble(config))
+        original = mc._haar_factors
+        state = {"rows": 0}
+
+        def flaky(D, K, rngs):
+            if len(rngs) > 1:
+                raise np.linalg.LinAlgError("batch failure")
+            state["rows"] += 1
+            if state["rows"] == 3:
+                raise np.linalg.LinAlgError("row failure")
+            return original(D, K, rngs)
+
+        monkeypatch.setattr(mc, "_haar_factors", flaky)
+        res = run_ensemble(config)
+        assert len(res.discarded) == res.discarded_trials == 1
+        (lost,) = res.discarded
+        assert lost < 299  # so that a later row would carry a shifted index
+        assert result_to_csv_rows(res) == clean[:lost] + clean[lost + 1:]
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
     def test_non_positive_spectrum_is_discarded(self, monkeypatch, bad):
@@ -1240,9 +1275,10 @@ class TestRunEnsembleProperties:
                           seed=seed, calibration_trials=40, power_control=pc)
         try:
             res = run_ensemble(config)
+            report = result_to_json(res)
         except SdmCapError:
             return
-        json.loads(result_to_json(res), parse_constant=_reject_non_finite)
+        json.loads(report, parse_constant=_reject_non_finite)
         assert np.isfinite(res.gain_samples).all()
         assert np.isfinite(res.cap_samples).all()
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdmcap.errors import DegenerateDistributionError
-from sdmcap.numerics import bisect, hermite, inverse_erf, matched_sigma
-from tests.reference import QuadratureError, integrate
+from sdmcap.numerics import hermite, inverse_erf, matched_sigma
+from tests.reference import QuadratureError, bisect, integrate
 
 
 class TestHermite:
