@@ -80,13 +80,14 @@ class TestPerModeStats:
 
     # the first sigma_mdg (0.5 dB scan) at which the lowest mode's -6 sigma
     # gain maps to a capacity 2^c - 1 rounds to 0 at, where the capacity-
-    # domain bisection raised; the gain-domain solver is defined there
+    # domain bisection raised; the gain-domain solver is defined there, and
+    # its only error at these points would be the typed bimodal one
     @pytest.mark.parametrize("D, snr_db, sigma", [
         (2, 0.0, 33.5), (2, 10.0, 35.0), (2, 20.0, 36.5),
         (6, 0.0, 37.5), (6, 10.0, 39.5), (6, 20.0, 41.5),
         (8, 0.0, 38.5), (8, 10.0, 40.5), (8, 20.0, 42.5),
     ])
-    def test_former_gue_range_limit_is_finite_or_bimodal(self, D, snr_db, sigma):
+    def test_gue_range_limit_is_a_typed_error(self, D, snr_db, sigma):
         for s in (sigma - 0.5, sigma):
             _assert_sound_or_bimodal(ChannelSpec(D, snr_db, s))
 
