@@ -4,6 +4,7 @@ and the method-dispatch entry point producing PerModeStats."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import gue, wigner
@@ -143,6 +144,11 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
         gain_means = tuple(wigner.gain_db_from_capacity(c, snr) for c in cap_means)
         gain_sigmas = ()
         cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, mu, cap_means, gain_means)
+    for means in (gain_means, cap_means):
+        if not all(map(operator.lt, means, means[1:])):
+            raise DegenerateDistributionError(
+                f"the per-mode means of the {method} track are not strictly ascending "
+                f"at sigma_mdg_db={spec.sigma_mdg_db}, so its modes have no one order")
     return PerModeStats(
         D=D, method=method, mu_lambda_db=mu,
         gain_means=tuple(gain_means), gain_sigmas=tuple(gain_sigmas),

@@ -74,8 +74,8 @@ def _parse_sigma_grid(text: str):
 def _flatten(payload, prefix=""):
     if isinstance(payload, total.ToeplitzRows):
         # the D lag texts once each, not D^2 entries through the recursion
-        texts = [str(v) for v in payload.lags]
-        for i, row in enumerate(total.ToeplitzRows.rows(texts)):
+        rows = total.ToeplitzRows([str(v) for v in payload.lags])
+        for i, row in enumerate(rows):
             head = f"{prefix}{i}."
             yield from (f"{head}{j},{text}" for j, text in enumerate(row))
     elif isinstance(payload, dict):
@@ -88,53 +88,69 @@ def _flatten(payload, prefix=""):
         yield f"{prefix[:-1]},{payload}"
 
 
-def _write(text: str, args) -> None:
-    """Print ``text`` and, with ``--out``, write the same text to that file."""
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+def _csv_parts(payload):
+    """The ``key,value`` lines of ``_flatten``, 64 to a part."""
+    lines = _flatten(payload)
+    while part := "".join(f"{line}\n" for line in itertools.islice(lines, 64)):
+        yield part
 
 
-def _compact_json(value) -> str:
-    # as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _toeplitz_json(matrix: total.ToeplitzRows) -> str:
-    """``_compact_json(matrix)``: row i is the slice from element D - 1 - i
-    of the one joined text of lags D - 1, ..., 1, 0, 1, ..., D - 1."""
+def _toeplitz_rows_json(lags: list):
+    """The rows of ``_compact_json(ToeplitzRows(lags))``, each after its
+    separator: row i is the slice from element D - 1 - i of the one joined
+    text of lags D - 1, ..., 1, 0, 1, ..., D - 1."""
     # no JSON number text (nor NaN, Infinity) holds a comma
-    texts = _compact_json(matrix.lags)[1:-1].split(",") if matrix.lags else []
+    texts = _compact_json(lags)[1:-1].split(",") if lags else []
     mirrored = texts[:0:-1] + texts
     starts = list(itertools.accumulate((len(t) + 1 for t in mirrored), initial=0))
     line, D = ",".join(mirrored), len(texts)
-    return "[" + ",".join("[" + line[starts[k]:starts[k + D] - 1] + "]"
-                          for k in range(D - 1, -1, -1)) + "]"
+    sep = ""
+    for k in range(D - 1, -1, -1):
+        yield f"{sep}[{line[starts[k]:starts[k + D] - 1]}]"
+        sep = ","
 
 
-def _json_report(payload: dict) -> str:
-    """``_compact_json(payload)``, byte for byte, with each top-level Toeplitz
-    matrix written from its lags and the keys between them in one call."""
-    parts, run = [], {}
+def _json_parts(payload: dict):
+    """``_compact_json(payload)``, byte for byte, in parts: each run of keys
+    between top-level Toeplitz matrices in one, and each row of a matrix,
+    written from its lags, in one of its own."""
+    sep, run = "{", {}
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, total.ToeplitzRows):
-            parts.append(_compact_json(run)[1:-1])
-            parts.append(f"{json.dumps(key)}:{_toeplitz_json(value)}")
-            run = {}
-        else:
+        if not isinstance(value, total.ToeplitzRows):
             run[key] = value
-    parts.append(_compact_json(run)[1:-1])
-    return "{" + ",".join(part for part in parts if part) + "}"
+            continue
+        if run:
+            yield sep + _compact_json(run)[1:-1]
+            sep, run = ",", {}
+        yield f"{sep}{json.dumps(key)}:["
+        yield from _toeplitz_rows_json(value.lags)
+        sep = "],"
+    if run:
+        yield sep + _compact_json(run)[1:-1]
+        sep = ","
+    # the last separator, less its comma, closes the object
+    yield "{}" if sep == "{" else sep[:-1] + "}"
+
+
+def _write(parts: list, args) -> None:
+    """Print the report's parts and, with ``--out``, write the same parts to
+    that file; no string of the whole report is built."""
+    sys.stdout.writelines(parts)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.writelines(parts)
 
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        text = _json_report(payload) + "\n"
+        _write([*_json_parts(payload), "\n"], args)
     else:
-        text = "".join(line + "\n" for line in _flatten(payload))
-    _write(text, args)
+        _write(list(_csv_parts(payload)), args)
 
 
 def _gamma_model(args, spec: ChannelSpec):
@@ -308,8 +324,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         header = ["mode_count", "snr_db", "sigma_mdg_db",
                   "sigma_ct_analytic", "sigma_ct_sim"]
-        _write(",".join(header) + "\n" + "".join(
-            ",".join(str(r[k]) for k in header) + "\n" for r in rows), args)
+        _write([",".join(header) + "\n", *(
+            ",".join(str(r[k]) for k in header) + "\n" for r in rows)], args)
     else:
         _emit({"schema": 1, "rows": rows}, args)
     return EXIT_OK

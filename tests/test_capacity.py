@@ -131,11 +131,12 @@ class TestPerModeStats:
 
 def _assert_sound_or_bimodal(spec):
     """``per_mode_stats`` gives finite, positive, ascending capacity means and
-    positive deviations, or raises the bimodal-density error."""
+    positive deviations, or raises the bimodal-density error or the one for
+    means that cross."""
     try:
         stats = capacity.per_mode_stats(spec)
     except DegenerateDistributionError as exc:
-        assert "bimodal" in str(exc)
+        assert "bimodal" in str(exc) or "not strictly ascending" in str(exc)
         return
     assert all(math.isfinite(v) for v in stats.cap_means + stats.cap_sigmas)
     assert all(a < b for a, b in zip(stats.cap_means, stats.cap_means[1:]))
@@ -172,6 +173,24 @@ class TestGainDomainSolver:
            sigma=st.floats(1e-6, 45.0))
     def test_finite_ascending_positive_or_bimodal(self, D, snr_db, sigma):
         _assert_sound_or_bimodal(ChannelSpec(D, snr_db, sigma))
+
+    @settings(max_examples=300, deadline=None)
+    @given(D=st.one_of(st.integers(2, 8), st.integers(9, 100)),
+           snr_db=st.floats(-10.0, 30.0), sigma=st.floats(1e-6, 200.0))
+    def test_sound_or_a_typed_error_up_to_200_db(self, D, snr_db, sigma):
+        _assert_sound_or_bimodal(ChannelSpec(D, snr_db, sigma))
+
+    # beyond about 130 dB an outer GUE mode's larger gain deviation moves its
+    # capacity-density mode, near m - a s^2, below its neighbour's; 0.5 dB
+    # below the first such point of a 0.5 dB scan (155.5 dB at D = 8) the
+    # means still ascend
+    @pytest.mark.parametrize("D, snr_db, sound, crossed", [
+        (8, 0.0, 155.0, 200.0), (4, 10.0, 129.0, 129.5)])
+    def test_crossing_means_are_a_typed_error(self, D, snr_db, sound, crossed):
+        means = capacity.per_mode_stats(ChannelSpec(D, snr_db, sound)).cap_means
+        assert all(a < b for a, b in zip(means, means[1:]))
+        with pytest.raises(DegenerateDistributionError, match="not strictly ascending"):
+            capacity.per_mode_stats(ChannelSpec(D, snr_db, crossed))
 
     def test_agrees_with_the_capacity_domain_bisection(self):
         # wherever the bisection is defined, the density unimodal and the

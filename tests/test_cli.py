@@ -210,11 +210,12 @@ class TestReportEncoding:
            keys=st.lists(st.text(max_size=4), max_size=3))
     def test_matrices_anywhere_encode_as_json_dumps(self, lags, plain, keys):
         # non-finite lags are written as json writes them: NaN, Infinity
-        payload = dict(plain)
+        payload, nested = dict(plain), dict(plain)
         for key in keys:
             payload[key] = total.ToeplitzRows(list(lags))
-        assert cli._json_report(payload) == json.dumps(
-            payload, sort_keys=True, separators=(",", ":"))
+            nested[key] = [list(row) for row in payload[key]]
+        assert "".join(cli._json_parts(payload)) == json.dumps(
+            nested, sort_keys=True, separators=(",", ":"))
 
     @settings(max_examples=100, deadline=None)
     @given(lags=st.lists(st.floats(), max_size=12),
@@ -230,6 +231,33 @@ class TestReportEncoding:
             payload[key] = total.ToeplitzRows(list(lags))
             nested[key] = [list(row) for row in payload[key]]
         assert list(cli._flatten(payload)) == list(cli._flatten(nested))
+
+    def test_d100_report_is_written_a_row_at_a_time(self, monkeypatch):
+        # a bench-grid report, once one 226 KB write of the joined text: each
+        # of the D rows is now a write of its own, the keys after the matrix
+        # one more (the per-mode lists, 6.4 KB), and no row of the D x D
+        # matrix is built, only its lags are read
+        writes, built = [], []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        row = total.ToeplitzRows.__getitem__
+        monkeypatch.setattr(total.ToeplitzRows, "__getitem__",
+                            lambda self, i: built.append(i) or row(self, i))
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["analytic", "--modes", "100", "--snr-db", "10", "--sigma-mdg-db",
+                     "5", "--bins", "2", "--pout", "0.01", "--gamma", "0,0"]) == 0
+        out = sys.stdout.getvalue()
+        assert built == []
+        rows = [json.dumps(r, separators=(",", ":"))
+                for r in json.loads(out)["cap_correlation"]]
+        assert writes[0] == '{"cap_correlation":['
+        assert writes[1:101] == rows[:1] + ["," + r for r in rows[1:]]
+        assert len(writes) == 104 and writes[-2:] == ["}", "\n"]
+        assert len(writes[101]) < len(out) / 30
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         built = []
@@ -326,6 +354,9 @@ class TestOutFile:
     @pytest.mark.parametrize("argv", [
         ["coeffs", "--modes", "4"],
         ["analytic", "--modes", "6", "--snr-db", "10", "--sigma-mdg-db", "5"],
+        # both sinks take the report's parts, Toeplitz rows among them
+        pytest.param(["analytic", "--modes", "100", "--snr-db", "10",
+                      "--sigma-mdg-db", "5", "--gamma", "-0.1,0"], id="analytic_d100"),
         ["simulate", "--modes", "4", "--sigma-mdg-db", "5", *_ORACLE_ARGS],
         ["fit", "--modes", "4", "--sigma-grid", "1,2.5,5", *_ORACLE_ARGS],
         ["sweep", "--modes", "4", "--sigma-grid", "1,3,5", *_ORACLE_ARGS],
