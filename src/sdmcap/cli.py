@@ -71,11 +71,21 @@ def _parse_sigma_grid(text: str):
     return values
 
 
+class _Toeplitz:
+    """A report's symmetric Toeplitz matrix, held as its D lags (its first
+    row) alone: the writers expand it a row at a time."""
+
+    __slots__ = ("lags",)
+
+    def __init__(self, lags: list):
+        self.lags = lags
+
+
 def _flatten(payload, prefix=""):
-    if isinstance(payload, total.ToeplitzRows):
+    if isinstance(payload, _Toeplitz):
         # the D lag texts once each, not D^2 entries through the recursion
-        rows = total.ToeplitzRows([str(v) for v in payload.lags])
-        for i, row in enumerate(rows):
+        texts = [str(v) for v in payload.lags]
+        for i, row in enumerate(total.ToeplitzRows.rows(texts)):
             head = f"{prefix}{i}."
             yield from (f"{head}{j},{text}" for j, text in enumerate(row))
     elif isinstance(payload, dict):
@@ -88,30 +98,28 @@ def _flatten(payload, prefix=""):
         yield f"{prefix[:-1]},{payload}"
 
 
-def _csv_parts(payload):
-    """The ``key,value`` lines of ``_flatten``, 64 to a part."""
-    lines = _flatten(payload)
-    while part := "".join(f"{line}\n" for line in itertools.islice(lines, 64)):
-        yield part
-
-
 # as ``result_to_json`` encodes; without ``indent`` json runs its C encoder
 _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _toeplitz_rows_json(lags: list):
     """The rows of ``_compact_json(ToeplitzRows(lags))``, each after its
-    separator: row i is the slice from element D - 1 - i of the one joined
-    text of lags D - 1, ..., 1, 0, 1, ..., D - 1."""
+    separator.  Row i is a tail of the text of lags D - 1, ..., 1 (lags i,
+    ..., 1) and a head of the text of lags 0, ..., D - 1 (lags 0, ...,
+    D - 1 - i), so no text longer than one row is built."""
+    if not lags:
+        return
+    head = _compact_json(lags)  # row 0
     # no JSON number text (nor NaN, Infinity) holds a comma
-    texts = _compact_json(lags)[1:-1].split(",") if lags else []
-    mirrored = texts[:0:-1] + texts
-    starts = list(itertools.accumulate((len(t) + 1 for t in mirrored), initial=0))
-    line, D = ",".join(mirrored), len(texts)
-    sep = ""
-    for k in range(D - 1, -1, -1):
-        yield f"{sep}[{line[starts[k]:starts[k + D] - 1]}]"
-        sep = ","
+    texts = head[1:-1].split(",")
+    tail = ",".join(texts[:0:-1]) + ","
+    # ends[k + 1] is where lag k's text ends in ``head``; lag i's starts
+    # ends[D] - ends[i + 1] into ``tail``
+    ends = list(itertools.accumulate((len(t) + 1 for t in texts), initial=0))
+    D = len(texts)
+    yield head
+    for i in range(1, D):
+        yield f",[{tail[ends[D] - ends[i + 1]:]}{head[1:ends[D - i]]}]"
 
 
 def _json_parts(payload: dict):
@@ -121,7 +129,7 @@ def _json_parts(payload: dict):
     sep, run = "{", {}
     for key in sorted(payload):
         value = payload[key]
-        if not isinstance(value, total.ToeplitzRows):
+        if not isinstance(value, _Toeplitz):
             run[key] = value
             continue
         if run:
@@ -139,7 +147,7 @@ def _json_parts(payload: dict):
 
 def _write(parts: list, args) -> None:
     """Print the report's parts and, with ``--out``, write the same parts to
-    that file; no string of the whole report is built."""
+    that file."""
     sys.stdout.writelines(parts)
     if args.out:
         with open(args.out, "w") as fh:
@@ -150,7 +158,7 @@ def _emit(payload: dict, args) -> None:
     if args.format == "json":
         _write([*_json_parts(payload), "\n"], args)
     else:
-        _write(list(_csv_parts(payload)), args)
+        _write(["".join(line + "\n" for line in _flatten(payload))], args)
 
 
 def _gamma_model(args, spec: ChannelSpec):
@@ -218,8 +226,8 @@ def cmd_analytic(args) -> int:
         "per_mode_gain_std_db": list(stats.gain_sigmas),
         "per_mode_cap_mean_bits_per_s_per_hz": list(stats.cap_means),
         "per_mode_cap_std_bits_per_s_per_hz": list(stats.cap_sigmas),
-        "cap_correlation": total.correlation_matrix(
-            spec.mode_count, spec.sigma_mdg_db, model),
+        "cap_correlation": _Toeplitz(total.correlation_lags(
+            spec.mode_count, spec.sigma_mdg_db, model)),
         "total_mean_bits_per_s_per_hz": tstats.mu_ct,
         "total_mean_exact_bits_per_s_per_hz": exact_mean,
         "total_std_bits_per_s_per_hz": tstats.sigma_ct * math.sqrt(args.bins),

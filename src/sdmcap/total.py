@@ -3,9 +3,7 @@ mean/variance, exact mean integral, frequency diversity and outage capacity."""
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,49 +53,34 @@ def correlation(i: int, j: int, sigma_mdg_db: float,
     return decay + (decay - 1.0) * model.combined_coefficient(sigma_mdg_db)
 
 
-class ToeplitzRows(Sequence):
+class ToeplitzRows(list):
     """The rows of the symmetric Toeplitz matrix whose entry (i, j) is
-    ``lags[|i - j|]``, held as ``lags`` (its first row) alone: row i is
-    built when it is read, of the very objects in ``lags``, so a writer can
-    encode the D distinct values once and nothing holds all D^2 entries.
-    It compares equal to the list of its rows."""
+    ``lags[|i - j|]``; ``lags`` (its first row) stays attached, so a writer
+    can encode the D distinct values once instead of all D^2 entries."""
 
     def __init__(self, lags: list):
+        super().__init__(self.rows(lags))
         self.lags = lags
 
-    def __len__(self) -> int:
-        return len(self.lags)
+    @staticmethod
+    def rows(lags: list):
+        """Row i is ``lags[i], ..., lags[1], lags[0], ..., lags[D - 1 - i]``,
+        of the very objects in ``lags``."""
+        D = len(lags)
+        return (lags[i:0:-1] + lags[:D - i] for i in range(D))
 
-    def __getitem__(self, index):
-        rows = range(len(self.lags))[index]  # a list's IndexError and slices
-        if isinstance(rows, range):
-            return [self[i] for i in rows]
-        return self.lags[rows:0:-1] + self.lags[:len(self.lags) - rows]
 
-    def __eq__(self, other):
-        if not isinstance(other, (list, ToeplitzRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"ToeplitzRows({self.lags!r})"
+def correlation_lags(D: int, sigma_mdg_db: float,
+                     model: CorrelationModel) -> list:
+    """``correlation`` at each lag |i - j| = 0, ..., D - 1: the first row of
+    the D x D matrix, on which alone it depends."""
+    return [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
 
 
 def correlation_matrix(D: int, sigma_mdg_db: float,
                        model: CorrelationModel) -> ToeplitzRows:
-    """D x D ``correlation`` matrix, evaluated once per lag |i - j|, on which
-    alone it depends."""
-    return ToeplitzRows([correlation(1, 1 + d, sigma_mdg_db, model)
-                         for d in range(D)])
-
-
-@functools.cache
-def _lag_index(D: int) -> np.ndarray:
-    """The D x D array of |i - j|, made once per D and read-only."""
-    r = np.arange(D)
-    index = abs(r[:, None] - r)
-    index.flags.writeable = False
-    return index
+    """D x D ``correlation`` matrix, evaluated once per lag |i - j|."""
+    return ToeplitzRows(correlation_lags(D, sigma_mdg_db, model))
 
 
 def variance_terms(cap_sigmas) -> tuple:
@@ -110,11 +93,10 @@ def variance_terms(cap_sigmas) -> tuple:
 
     Both forms below add the D^2 terms one at a time in (i, j) row-major
     order, so they give the same bits: a loop up to D = 10 and numpy, whose
-    add.accumulate is sequential, beyond, on the |i - j| index array it
-    keeps per D.  Timed per call on one core (best of 9), the two tie at
-    D = 8 (6.7 us), numpy leads by 2-3 us at D = 9 and 10 and wins from
-    D = 11 (7.2 against 11.4 us; 77 us against 0.69 ms at D = 100, where
-    building the index array on each call took 92 us)."""
+    add.accumulate is sequential, beyond.  Timed per call on one core, the
+    loop wins up to D = 9 (11 against 14 us at D = 8), the two tie at
+    D = 10 (16 us) and numpy wins from D = 11 (16 against 20 us; 0.12
+    against 1.2 ms at D = 100)."""
     D = len(cap_sigmas)
     decay = [math.exp(-d) for d in range(D)]
     if D <= 10:
@@ -124,8 +106,9 @@ def variance_terms(cap_sigmas) -> tuple:
                 a += si * sj * decay[abs(i - j)]
     else:
         s = np.array(cap_sigmas, dtype=float)
+        r = np.arange(D)
         terms = np.multiply.outer(s, s)
-        terms *= np.array(decay)[_lag_index(D)]
+        terms *= np.array(decay)[abs(r[:, None] - r)]
         a = terms.ravel().cumsum()[-1].item()
     total = sum(cap_sigmas)
     return a, a - total * total

@@ -131,12 +131,13 @@ class TestPerModeStats:
 
 def _assert_sound_or_bimodal(spec):
     """``per_mode_stats`` gives finite, positive, ascending capacity means and
-    positive deviations, or raises the bimodal-density error or the one for
-    means that cross."""
+    positive deviations, or raises the bimodal-density error or, beyond
+    100 dB only, the one for means that cross."""
     try:
         stats = capacity.per_mode_stats(spec)
     except DegenerateDistributionError as exc:
-        assert "bimodal" in str(exc) or "not strictly ascending" in str(exc)
+        crossed = spec.sigma_mdg_db > 100.0 and "not strictly ascending" in str(exc)
+        assert "bimodal" in str(exc) or crossed
         return
     assert all(math.isfinite(v) for v in stats.cap_means + stats.cap_sigmas)
     assert all(a < b for a, b in zip(stats.cap_means, stats.cap_means[1:]))

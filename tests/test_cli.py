@@ -210,12 +210,12 @@ class TestReportEncoding:
            keys=st.lists(st.text(max_size=4), max_size=3))
     def test_matrices_anywhere_encode_as_json_dumps(self, lags, plain, keys):
         # non-finite lags are written as json writes them: NaN, Infinity
-        payload, nested = dict(plain), dict(plain)
+        payload, matrices = dict(plain), dict(plain)
         for key in keys:
-            payload[key] = total.ToeplitzRows(list(lags))
-            nested[key] = [list(row) for row in payload[key]]
+            payload[key] = cli._Toeplitz(list(lags))
+            matrices[key] = total.ToeplitzRows(list(lags))
         assert "".join(cli._json_parts(payload)) == json.dumps(
-            nested, sort_keys=True, separators=(",", ":"))
+            matrices, sort_keys=True, separators=(",", ":"))
 
     @settings(max_examples=100, deadline=None)
     @given(lags=st.lists(st.floats(), max_size=12),
@@ -228,15 +228,15 @@ class TestReportEncoding:
         # the CSV lines of a Toeplitz matrix are those of its rows as lists
         payload, nested = dict(plain), dict(plain)
         for key in keys:
-            payload[key] = total.ToeplitzRows(list(lags))
-            nested[key] = [list(row) for row in payload[key]]
+            payload[key] = cli._Toeplitz(list(lags))
+            nested[key] = [list(row) for row in total.ToeplitzRows(list(lags))]
         assert list(cli._flatten(payload)) == list(cli._flatten(nested))
 
     def test_d100_report_is_written_a_row_at_a_time(self, monkeypatch):
-        # a bench-grid report, once one 226 KB write of the joined text: each
-        # of the D rows is now a write of its own, the keys after the matrix
-        # one more (the per-mode lists, 6.4 KB), and no row of the D x D
-        # matrix is built, only its lags are read
+        # a bench-grid report, once one 226 KB write of the joined text: the
+        # D x D rows are never built, each matrix row is a write of its own,
+        # and only the run of keys after the matrix, which holds the four
+        # per-mode lists of D values, is a write longer than one row
         writes, built = [], []
 
         class Recorder(io.StringIO):
@@ -244,9 +244,9 @@ class TestReportEncoding:
                 writes.append(text)
                 return super().write(text)
 
-        row = total.ToeplitzRows.__getitem__
-        monkeypatch.setattr(total.ToeplitzRows, "__getitem__",
-                            lambda self, i: built.append(i) or row(self, i))
+        rows = total.ToeplitzRows.rows
+        monkeypatch.setattr(total.ToeplitzRows, "rows",
+                            staticmethod(lambda lags: built.append(lags) or rows(lags)))
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(["analytic", "--modes", "100", "--snr-db", "10", "--sigma-mdg-db",
                      "5", "--bins", "2", "--pout", "0.01", "--gamma", "0,0"]) == 0
@@ -257,7 +257,9 @@ class TestReportEncoding:
         assert writes[0] == '{"cap_correlation":['
         assert writes[1:101] == rows[:1] + ["," + r for r in rows[1:]]
         assert len(writes) == 104 and writes[-2:] == ["}", "\n"]
-        assert len(writes[101]) < len(out) / 30
+        longest = max(map(len, rows))
+        assert [w for w in writes if len(w) > longest + 1] == [writes[101]]
+        assert len(writes[101]) < 4 * longest
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         built = []
