@@ -332,7 +332,7 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         header = ["mode_count", "snr_db", "sigma_mdg_db",
                   "sigma_ct_analytic", "sigma_ct_sim"]
-        _write([",".join(header) + "\n", *(
+        _write([",".join(header) + "\n" + "".join(
             ",".join(str(r[k]) for k in header) + "\n" for r in rows)], args)
     else:
         _emit({"schema": 1, "rows": rows}, args)
