@@ -140,10 +140,10 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
                       for c, m, s in zip(cap_means, gain_means, gain_sigmas)]
     else:  # semicircle track
         mu = wigner.mean_log_gain(spec)
-        cap_means = wigner.per_mode_means_from_cdf(spec, mu)
-        gain_means = tuple(wigner.gain_db_from_capacity(c, snr) for c in cap_means)
+        gain_means = wigner.per_mode_gains(spec, mu)
         gain_sigmas = ()
-        cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, mu, cap_means, gain_means)
+        cap_means = wigner.per_mode_means_from_cdf(spec, gain_means)
+        cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, gain_means)
     for means in (gain_means, cap_means):
         if not all(map(operator.lt, means, means[1:])):
             raise DegenerateDistributionError(

@@ -85,7 +85,7 @@ def _flatten(payload, prefix=""):
     if isinstance(payload, _Toeplitz):
         # the D lag texts once each, not D^2 entries through the recursion
         texts = [str(v) for v in payload.lags]
-        for i, row in enumerate(total.ToeplitzRows.rows(texts)):
+        for i, row in enumerate(total.toeplitz_rows(texts)):
             head = f"{prefix}{i}."
             yield from (f"{head}{j},{text}" for j, text in enumerate(row))
     elif isinstance(payload, dict):
@@ -103,10 +103,10 @@ _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _toeplitz_rows_json(lags: list):
-    """The rows of ``_compact_json(ToeplitzRows(lags))``, each after its
-    separator.  Row i is a tail of the text of lags D - 1, ..., 1 (lags i,
-    ..., 1) and a head of the text of lags 0, ..., D - 1 (lags 0, ...,
-    D - 1 - i), so no text longer than one row is built."""
+    """The rows of ``_compact_json(list(total.toeplitz_rows(lags)))``, each
+    after its separator.  Row i is a tail of the text of lags D - 1, ..., 1
+    (lags i, ..., 1) and a head of the text of lags 0, ..., D - 1 (lags 0,
+    ..., D - 1 - i), so no text longer than one row is built."""
     if not lags:
         return
     head = _compact_json(lags)  # row 0

@@ -33,11 +33,15 @@ def hermite(n: int) -> tuple:
 def matched_sigma(density: float, modes: int = 1) -> float:
     """Deviation of the Gaussian that, weighted 1 / ``modes``, peaks at
     ``density``: 1 / (modes sqrt(2 pi) density).  A mode's share of an
-    ensemble density with ``modes`` modes, or with 1 its own density."""
-    if density <= 0:
+    ensemble density with ``modes`` modes, or with 1 its own density.  A
+    density that is not positive, or whose deviation rounds to 0 or to
+    infinity, raises DegenerateDistributionError."""
+    sigma = 1.0 / (modes * _SQRT_2PI * density) if density > 0 else 0.0
+    if not 0.0 < sigma < math.inf:
         raise DegenerateDistributionError(
-            f"density {density} at a per-mode mean is not positive")
-    return 1.0 / (modes * _SQRT_2PI * density)
+            f"density {density} at a per-mode mean has no Gaussian match of "
+            f"finite, positive deviation")
+    return sigma
 
 
 def inverse_erf(p: float) -> float:

@@ -46,41 +46,38 @@ class TotalCapacityStats:
     sigma_ct: float  # bit/s/Hz
 
 
+def _correlation_at_lag(d: int, g: float) -> float:
+    """``correlation`` at lag d = |i - j| for the combined coefficient g."""
+    decay = math.exp(-d)
+    return decay + (decay - 1.0) * g
+
+
 def correlation(i: int, j: int, sigma_mdg_db: float,
                 model: CorrelationModel) -> float:
     """Empirical correlation between the capacities of modes i and j."""
-    decay = math.exp(-abs(i - j))
-    return decay + (decay - 1.0) * model.combined_coefficient(sigma_mdg_db)
-
-
-class ToeplitzRows(list):
-    """The rows of the symmetric Toeplitz matrix whose entry (i, j) is
-    ``lags[|i - j|]``; ``lags`` (its first row) stays attached, so a writer
-    can encode the D distinct values once instead of all D^2 entries."""
-
-    def __init__(self, lags: list):
-        super().__init__(self.rows(lags))
-        self.lags = lags
-
-    @staticmethod
-    def rows(lags: list):
-        """Row i is ``lags[i], ..., lags[1], lags[0], ..., lags[D - 1 - i]``,
-        of the very objects in ``lags``."""
-        D = len(lags)
-        return (lags[i:0:-1] + lags[:D - i] for i in range(D))
+    return _correlation_at_lag(abs(i - j), model.combined_coefficient(sigma_mdg_db))
 
 
 def correlation_lags(D: int, sigma_mdg_db: float,
                      model: CorrelationModel) -> list:
     """``correlation`` at each lag |i - j| = 0, ..., D - 1: the first row of
     the D x D matrix, on which alone it depends."""
-    return [correlation(1, 1 + d, sigma_mdg_db, model) for d in range(D)]
+    g = model.combined_coefficient(sigma_mdg_db)
+    return [_correlation_at_lag(d, g) for d in range(D)]
+
+
+def toeplitz_rows(lags: list):
+    """The rows of the symmetric Toeplitz matrix whose entry (i, j) is
+    ``lags[|i - j|]``: row i is ``lags[i], ..., lags[1], lags[0], ...,
+    lags[D - 1 - i]``, of the very objects in ``lags``."""
+    D = len(lags)
+    return (lags[i:0:-1] + lags[:D - i] for i in range(D))
 
 
 def correlation_matrix(D: int, sigma_mdg_db: float,
-                       model: CorrelationModel) -> ToeplitzRows:
-    """D x D ``correlation`` matrix, evaluated once per lag |i - j|."""
-    return ToeplitzRows(correlation_lags(D, sigma_mdg_db, model))
+                       model: CorrelationModel) -> list:
+    """D x D ``correlation`` matrix as D rows, evaluated once per lag |i - j|."""
+    return list(toeplitz_rows(correlation_lags(D, sigma_mdg_db, model)))
 
 
 def variance_terms(cap_sigmas) -> tuple:

@@ -1,6 +1,17 @@
 """Large-mode-count limit: the semicircular log-gain density's closed-form
-mean log-gain, the closed-form capacity density, and per-mode statistics
-at the closed-form quantiles of the capacity CDF."""
+mean log-gain, and per-mode statistics in closed form at its (i - 1/2)/D
+quantiles.
+
+Mode i sits at the quantile offset z_i = sin(phi_i / 2), with gain mean
+x_i = mu + 2 sigma z_i (dB) and g_i = snr 10^(x_i / 10).  Its capacity mean
+is log2(1 + g_i), and its capacity deviation is matched to the ensemble
+capacity density there,
+
+    f_i = 10 ln 2 / (pi sigma ln 10) (1 + 1 / g_i) sqrt(1 - z_i^2),
+
+the semicircle density sqrt(4 - u^2) / (2 pi sigma) at u = 2 z_i times
+the Jacobian dx/dC = (10 / ln 10) ln 2 2^C / (2^C - 1), 2^C = 1 + g_i.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelSpec
+from .errors import DegenerateDistributionError
 from .numerics import matched_sigma
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+_DENSITY_SCALE = 10.0 * _LN2 / (math.pi * _LN10)  # sigma f_i / ((1 + 1 / g_i) sqrt(1 - z_i^2))
 
 # 64-node Gauss-Chebyshev rule of the second kind, mapped onto the unit
 # semicircle on [-2, 2]: E[g(U)] = sum_k w_k g(u_k)
@@ -39,38 +52,6 @@ def mean_log_gain(spec: ChannelSpec) -> float:
     return -10.0 / _LN10 * math.log(total)
 
 
-def gain_db_from_capacity(c: float, snr_linear: float) -> float:
-    """Log gain (dB) whose capacity equals ``c``; inverse of the capacity map."""
-    return 10.0 / _LN10 * math.log(math.expm1(c * _LN2) / snr_linear)
-
-
-def capacity_support(spec: ChannelSpec, mu_lambda_db: float):
-    """Capacity interval onto which the semicircle support maps."""
-    sigma = spec.sigma_mdg_db
-    snr = spec.snr_linear
-    lo = math.log2(snr * 10.0 ** ((mu_lambda_db - 2.0 * sigma) / 10.0) + 1.0)
-    hi = math.log2(snr * 10.0 ** ((mu_lambda_db + 2.0 * sigma) / 10.0) + 1.0)
-    return lo, hi
-
-
-def capacity_pdf(c: float, spec: ChannelSpec, mu_lambda_db: float,
-                 support=None, lam_db=None) -> float:
-    """Ensemble capacity density in the semicircle limit; zero off support.
-    A caller may pass the link's ``capacity_support`` and ``c``'s gain."""
-    lo, hi = support or capacity_support(spec, mu_lambda_db)
-    if not lo < c < hi:
-        return 0.0
-    sigma = spec.sigma_mdg_db
-    two_c = 2.0**c
-    lam_db = gain_db_from_capacity(c, spec.snr_linear) if lam_db is None else lam_db
-    u = (lam_db - mu_lambda_db) / sigma
-    radicand = 4.0 - u * u
-    if radicand <= 0.0:
-        return 0.0
-    return (5.0 * _LN2 * two_c / (math.pi * sigma * _LN10 * math.expm1(c * _LN2))
-            * math.sqrt(radicand))
-
-
 @lru_cache(maxsize=128)
 def _quantile_offsets(D: int) -> tuple:
     """z = sin(phi / 2) at the (i - 1/2)/D quantiles of the unit semicircle,
@@ -92,23 +73,41 @@ def _quantile_offsets(D: int) -> tuple:
     return tuple(offsets)
 
 
-def per_mode_means_from_cdf(spec: ChannelSpec, mu_lambda_db: float):
-    """Per-mode capacity means as the (i - 1/2)/D quantiles of the ensemble CDF.
+def per_mode_gains(spec: ChannelSpec, mu_lambda_db: float) -> list:
+    """Per-mode log-gain means mu + 2 sigma z_i (dB) at the quantile offsets.
 
     With z = (lambda_dB - mu) / (2 sigma) = sin(phi / 2) the CDF reads
     1/2 + (phi + sin(phi)) / (2 pi), so the quantiles in z do not depend on
-    the link; each maps to the capacity log2(1 + snr 10^((mu + 2 sigma z) / 10)).
-    """
-    sigma = spec.sigma_mdg_db
+    the link."""
+    two_sigma = 2.0 * spec.sigma_mdg_db
+    return [mu_lambda_db + two_sigma * z for z in _quantile_offsets(spec.mode_count)]
+
+
+def _snr_gains(spec: ChannelSpec, gains) -> list:
+    """g = snr 10^(x / 10) of each gain ``x`` (dB).  A g that underflows to
+    0 or overflows leaves its mode no finite, positive capacity or density,
+    which raises DegenerateDistributionError."""
     snr = spec.snr_linear
-    return [math.log1p(snr * 10.0 ** ((mu_lambda_db + 2.0 * sigma * z) / 10.0)) / _LN2
-            for z in _quantile_offsets(spec.mode_count)]
+    linear = [snr * 10.0 ** (x / 10.0) for x in gains]
+    if not all(0.0 < g < math.inf for g in linear):
+        raise DegenerateDistributionError(
+            f"the per-mode gains {gains[0]} to {gains[-1]} dB at "
+            f"sigma_mdg_db={spec.sigma_mdg_db} give SNR gains {linear[0]} to "
+            f"{linear[-1]}, beyond double precision")
+    return linear
 
 
-def per_mode_sigmas_from_pdf(spec: ChannelSpec, mu_lambda_db: float, means, gains=None):
-    """Per-mode capacity deviations from the ensemble density at each mean,
-    whose gains (dB) a caller may pass as ``gains``."""
-    support = capacity_support(spec, mu_lambda_db)
-    gains = gains or [gain_db_from_capacity(c, spec.snr_linear) for c in means]
-    return [matched_sigma(capacity_pdf(c, spec, mu_lambda_db, support, x), spec.mode_count)
-            for c, x in zip(means, gains)]
+def per_mode_means_from_cdf(spec: ChannelSpec, gains) -> list:
+    """Per-mode capacity means log2(1 + g_i) at the (i - 1/2)/D quantiles of
+    the ensemble CDF, from their ``per_mode_gains``."""
+    return [math.log1p(g) / _LN2 for g in _snr_gains(spec, gains)]
+
+
+def per_mode_sigmas_from_pdf(spec: ChannelSpec, gains) -> list:
+    """Per-mode capacity deviations matched to the ensemble capacity density
+    f_i at each mode, from their ``per_mode_gains``."""
+    scale = _DENSITY_SCALE / spec.sigma_mdg_db
+    # 1 + 1 / g as (1 + g) / g, last, so that no factor overflows before f_i
+    return [matched_sigma(scale * math.sqrt((1.0 - z) * (1.0 + z)) * (1.0 + g) / g,
+                          spec.mode_count)
+            for g, z in zip(_snr_gains(spec, gains), _quantile_offsets(spec.mode_count))]

@@ -2,9 +2,11 @@
 to, kept out of the package because the package never calls them.
 
 ``integrate`` is an adaptive-Simpson quadrature; ``semicircle_pdf`` is the
-Wigner density of the log gains and ``capacity_cdf`` the semicircle-limit
-capacity CDF, whose quantiles ``wigner.per_mode_means_from_cdf`` takes in
-closed form.  ``bisect`` and ``capacity_mean_by_bisection`` solve a GUE
+Wigner density of the log gains, ``capacity_pdf`` and ``capacity_cdf`` the
+semicircle-limit capacity density and CDF on ``capacity_support``, in the
+capacity domain through ``gain_db_from_capacity``.  The semicircle track
+takes the CDF's quantiles and the density there in closed form, in the
+gain domain.  ``bisect`` and ``capacity_mean_by_bisection`` solve a GUE
 mode's capacity mean in the capacity domain, as
 ``capacity.per_mode_capacity_mean`` does in the gain domain.
 """
@@ -15,7 +17,9 @@ import math
 
 from sdmcap.capacity import capacity_from_gain
 from sdmcap.errors import DegenerateDistributionError
-from sdmcap.wigner import capacity_support, gain_db_from_capacity
+
+_LN2 = math.log(2.0)
+_LN10 = math.log(10.0)
 
 
 class QuadratureError(Exception):
@@ -95,6 +99,34 @@ def semicircle_pdf(x: float, sigma_mdg_db: float, mu_lambda_db: float) -> float:
     if abs(u) >= 2.0:
         return 0.0
     return math.sqrt(4.0 - u * u) / (2.0 * math.pi * sigma_mdg_db)
+
+
+def gain_db_from_capacity(c: float, snr_linear: float) -> float:
+    """Log gain (dB) whose capacity equals ``c``; inverse of the capacity map."""
+    return 10.0 / _LN10 * math.log(math.expm1(c * _LN2) / snr_linear)
+
+
+def capacity_support(spec, mu_lambda_db: float):
+    """Capacity interval onto which the semicircle support maps."""
+    sigma = spec.sigma_mdg_db
+    snr = spec.snr_linear
+    lo = math.log2(snr * 10.0 ** ((mu_lambda_db - 2.0 * sigma) / 10.0) + 1.0)
+    hi = math.log2(snr * 10.0 ** ((mu_lambda_db + 2.0 * sigma) / 10.0) + 1.0)
+    return lo, hi
+
+
+def capacity_pdf(c: float, spec, mu_lambda_db: float) -> float:
+    """Ensemble capacity density in the semicircle limit; zero off support."""
+    lo, hi = capacity_support(spec, mu_lambda_db)
+    if not lo < c < hi:
+        return 0.0
+    sigma = spec.sigma_mdg_db
+    u = (gain_db_from_capacity(c, spec.snr_linear) - mu_lambda_db) / sigma
+    radicand = 4.0 - u * u
+    if radicand <= 0.0:
+        return 0.0
+    return (5.0 * _LN2 * 2.0**c / (math.pi * sigma * _LN10 * math.expm1(c * _LN2))
+            * math.sqrt(radicand))
 
 
 def capacity_cdf(c: float, spec, mu_lambda_db: float) -> float:

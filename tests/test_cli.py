@@ -102,7 +102,9 @@ class TestAnalytic:
 
 
     def test_vanishing_density_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(wigner, "capacity_pdf", lambda *args: 0.0)
+        # outer modes at the semicircle's edges z = -+1, where it vanishes
+        monkeypatch.setattr(wigner, "_quantile_offsets",
+                            lambda D: tuple(2.0 * k / (D - 1) - 1.0 for k in range(D)))
         code, _ = run_cli(capsys, "analytic", "--modes", "12", "--snr-db", "10",
                           "--sigma-mdg-db", "5", "--gamma", "0.3,0")
         assert code == 2
@@ -139,7 +141,12 @@ class TestNonFiniteInputs:
 # as the report was written when it encoded every matrix entry with json.dumps.
 # The GUE entries (D <= 8) were re-frozen when each mode's capacity mean moved
 # from a 1e-12 bisection in capacity to Newton in the gain domain: its
-# capacity means, deviations and the totals moved by at most 2.4e-13 relative
+# capacity means, deviations and the totals moved by at most 2.4e-13 relative.
+# The semicircle entries (D >= 9) were re-frozen when each mode's deviation
+# moved from the capacity density at its round-tripped gain to the closed
+# form at its quantile: deviations moved by at most 2.5e-15 relative, gain
+# means by 2.2e-13 relative, and the totals by 2.8e-16; capacity means kept
+# their bits
 _FROZEN_REPORT_SHA256 = {
     (2, "json"): "c1f3306c9d6616285dcca84979706aa40b8b9b1efb1a32a7164e0876af64dda2",
     (2, "csv"): "3ed327163aa41fed858393b3a71d31de2410e0dee9477542e47f2aee00166f5f",
@@ -148,11 +155,11 @@ _FROZEN_REPORT_SHA256 = {
     (6, "csv"): "757e413faf215490187bbcfab4263fdee2d3f5b7a09afea117fdd4d31ce14614",
     # the last GUE point and the first semicircle point
     (8, "json"): "bbde5a87ae576c57943ec57a03276f5989b079a8ef743d6ea828e18cd0976b73",
-    (9, "json"): "0d5a971fb30d04a5875893912a21dda604c285af2fd82dfb19e11080eebeeb38",
-    (40, "json"): "5505f1ec99cc9485b5d719deca97cf4d10a8b5761d8dd06da5470ef42f5bba0b",
-    (40, "csv"): "a3a5760f58de9f128a923165635f152bf5591ef2b8104f61fa7f0ad7961320d9",
-    (100, "json"): "46968498763a3a1ee4b435c786441b5f071b29c65d787daf9f9b16659530f05b",
-    (100, "csv"): "bcb58a499a38b30577f37cdeedb131dcadce52cf855c2bebe706d3e0aabe9ea7",
+    (9, "json"): "b49c732d3bb3697ffb166faae551e3b06560799afd13f248ca0750d35c57083c",
+    (40, "json"): "223d1b7c5981b6c1a7e57f3a31954795694c94abfa57ab7c70a5311d6e2cd43b",
+    (40, "csv"): "464dbc8d1e0f761d4a0385e1f7dd7ba295eff979cb1c25c01a219b223e002db4",
+    (100, "json"): "41956e6e41fe32f169902c13c4088e88d572910d066129f39f112769d3877b17",
+    (100, "csv"): "bf845669a8f7e904478f39fc3dfce1814dda1bd42de43cfa3a26e892d6e73b4b",
 }
 
 
@@ -163,10 +170,12 @@ def _report(capsys, D, fmt="json"):
 
 # SHA-256 of the 60 semicircle-track reports of the bench's analytic grid,
 # D in (12, 20, 40, 100) x SNR in (5, 10, 20) dB x sigma in (1, 2.5, 5,
-# 7.5, 10) dB, their stdouts joined in that order
+# 7.5, 10) dB, their stdouts joined in that order; re-frozen with the
+# semicircle entries above, whose deviations here moved by at most 9.7e-15
+# relative, gain means by 6.3e-13 and the totals by 1.2e-15
 _FROZEN_SEMICIRCLE_GRID_SHA256 = {
-    "json": "153ca2720082672f1f339eac72b478fc2d60c916f10691e370bfe65ad1b68ad7",
-    "csv": "56fc84b7f0429756df0b04cd722f7ac89ad78a308f652e254d8cfdd67eaf1c9f",
+    "json": "90d8998bccbe3e12a4cc8d957e3b215fb336b0a14d204865fdbde63036897cb0",
+    "csv": "755cab199d4419f92729b85b95351280f146e11e93d13d591f88ae2c16dd9168",
 }
 
 
@@ -176,6 +185,19 @@ class TestReportEncoding:
         code, out = _report(capsys, D, fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _FROZEN_REPORT_SHA256[D, fmt]
+
+    def test_ci_pipes_the_frozen_d100_digests(self):
+        # CI compares the console script's D = 100 reports with these digests
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            ".github", "workflows", "ci.yml")
+        with open(path) as fh:
+            step = fh.read().split("- name: Frozen D = 100 reports")[1].split("- name:")[0]
+        assert ('report="sdmcap analytic --modes 100 --snr-db 10 --sigma-mdg-db 5 '
+                '--gamma -0.1,0"') in step
+        piped = {"csv" if "--format csv" in line else "json":
+                 line.split('" = "')[1].split()[0]
+                 for line in step.splitlines() if "sha256sum" in line}
+        assert piped == {fmt: _FROZEN_REPORT_SHA256[100, fmt] for fmt in ("json", "csv")}
 
     @pytest.mark.parametrize("fmt", list(_FROZEN_SEMICIRCLE_GRID_SHA256))
     def test_semicircle_grid_is_frozen(self, capsys, fmt):
@@ -213,7 +235,7 @@ class TestReportEncoding:
         payload, matrices = dict(plain), dict(plain)
         for key in keys:
             payload[key] = cli._Toeplitz(list(lags))
-            matrices[key] = total.ToeplitzRows(list(lags))
+            matrices[key] = list(total.toeplitz_rows(list(lags)))
         assert "".join(cli._json_parts(payload)) == json.dumps(
             matrices, sort_keys=True, separators=(",", ":"))
 
@@ -229,7 +251,7 @@ class TestReportEncoding:
         payload, nested = dict(plain), dict(plain)
         for key in keys:
             payload[key] = cli._Toeplitz(list(lags))
-            nested[key] = [list(row) for row in total.ToeplitzRows(list(lags))]
+            nested[key] = [list(row) for row in total.toeplitz_rows(list(lags))]
         assert list(cli._flatten(payload)) == list(cli._flatten(nested))
 
     def test_d100_report_is_written_a_row_at_a_time(self, monkeypatch):
@@ -244,9 +266,9 @@ class TestReportEncoding:
                 writes.append(text)
                 return super().write(text)
 
-        rows = total.ToeplitzRows.rows
-        monkeypatch.setattr(total.ToeplitzRows, "rows",
-                            staticmethod(lambda lags: built.append(lags) or rows(lags)))
+        rows = total.toeplitz_rows
+        monkeypatch.setattr(total, "toeplitz_rows",
+                            lambda lags: built.append(lags) or rows(lags))
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(["analytic", "--modes", "100", "--snr-db", "10", "--sigma-mdg-db",
                      "5", "--bins", "2", "--pout", "0.01", "--gamma", "0,0"]) == 0

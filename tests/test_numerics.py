@@ -61,6 +61,15 @@ def test_matched_sigma(density, modes):
                                                        * density)
 
 
+@pytest.mark.parametrize("density, modes", [
+    (math.inf, 1), (math.nan, 6), (1e308, 100), (1e-320, 1)])
+def test_matched_sigma_is_finite_and_positive(density, modes):
+    # an infinite or NaN density, or one whose deviation rounds to 0 or to
+    # infinity, has no Gaussian match
+    with pytest.raises(DegenerateDistributionError):
+        matched_sigma(density, modes)
+
+
 class TestInverseErf:
     @pytest.mark.parametrize("y", [-0.999, -0.5, -1e-6, 0.0, 0.1, 0.9, 0.99999])
     def test_roundtrip(self, y):

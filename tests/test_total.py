@@ -47,9 +47,11 @@ class TestCorrelation:
     @pytest.mark.parametrize("D", [1, 2, 7])
     def test_rows_share_the_lag_values(self, model, D):
         m = total.correlation_matrix(D, 5.0, model)
-        assert len(m) == D and m.lags == m[0]
+        lags = m[0]
+        assert type(m) is list and len(m) == D
+        assert lags == total.correlation_lags(D, 5.0, model)
         for i in range(D):
-            assert all(m[i][j] is m.lags[abs(i - j)] for j in range(D))
+            assert all(m[i][j] is lags[abs(i - j)] for j in range(D))
 
     def test_depends_only_on_index_distance(self, model):
         assert total.correlation(2, 4, 5.0, model) == \
@@ -62,22 +64,20 @@ class TestCorrelation:
         model = total.CorrelationModel(gamma0=0.0, gamma1=0.0, D=D, snr_db=10.0)
         expected = [[total.correlation(i, j, 5.0, model) for j in range(1, D + 1)]
                     for i in range(1, D + 1)]
-        calls = []
-        original = total.correlation
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(total, "correlation", counted)
-        assert total.correlation_matrix(D, 5.0, model) == expected
-        assert len(calls) == D
-        exps = []
-        exp = math.exp
+        lags, coefficients, exps = [], [], []
+        lag, coefficient, exp = (total._correlation_at_lag,
+                                 total.CorrelationModel.combined_coefficient, math.exp)
+        monkeypatch.setattr(total, "_correlation_at_lag",
+                            lambda *args: lags.append(args) or lag(*args))
+        monkeypatch.setattr(total.CorrelationModel, "combined_coefficient",
+                            lambda *args: coefficients.append(args) or coefficient(*args))
         monkeypatch.setattr(math, "exp", lambda x: exps.append(x) or exp(x))
+        assert total.correlation_matrix(D, 5.0, model) == expected
+        # D lag values, one decay factor each, from one combined coefficient
+        assert (len(lags), len(exps), len(coefficients)) == (D, D, 1)
         total.total_stats(stats, model, 5.0)
-        assert len(calls) == D  # the variance takes no pair correlation
-        assert len(exps) == D  # and one decay factor per lag
+        assert len(lags) == D  # the variance takes no pair correlation
+        assert len(exps) == 2 * D  # and one decay factor per lag
 
 
 def _variance_terms_by_loop(cap_sigmas):

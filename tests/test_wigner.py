@@ -1,14 +1,25 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmcap import wigner
 from sdmcap.capacity import per_mode_stats
 from sdmcap.channel import ChannelSpec
 from sdmcap.errors import DegenerateDistributionError
 from sdmcap.mc import McConfig, run_ensemble
-from tests.reference import capacity_cdf, integrate, semicircle_pdf
+from sdmcap.numerics import matched_sigma
+from tests.reference import (
+    capacity_cdf,
+    capacity_pdf,
+    capacity_support,
+    gain_db_from_capacity,
+    integrate,
+    semicircle_pdf,
+)
 
 
 class TestSemicirclePdf:
@@ -36,31 +47,31 @@ class TestCapacityTransform:
         snr = 10.0
         for lam_db in (-6.0, -1.5, 0.0, 2.0):
             c = math.log2(1.0 + snr * 10.0 ** (lam_db / 10.0))
-            assert wigner.gain_db_from_capacity(c, snr) == pytest.approx(
+            assert gain_db_from_capacity(c, snr) == pytest.approx(
                 lam_db, abs=1e-12)
 
     def test_cdf_clamps_off_support(self):
         spec = ChannelSpec(20, 10.0, 5.0)
-        lo, hi = wigner.capacity_support(spec, -2.5)
+        lo, hi = capacity_support(spec, -2.5)
         assert capacity_cdf(lo - 0.1, spec, -2.5) == 0.0
         assert capacity_cdf(hi + 0.1, spec, -2.5) == 1.0
 
     def test_cdf_matches_pdf_quadrature(self):
         spec = ChannelSpec(20, 10.0, 5.0)
         mu = -2.5
-        lo, hi = wigner.capacity_support(spec, mu)
+        lo, hi = capacity_support(spec, mu)
         for q in (0.1, 0.35, 0.6, 0.9):
             c = lo + q * (hi - lo)
             numeric = integrate(
-                lambda x: wigner.capacity_pdf(x, spec, mu), lo, c, tol=1e-11)
+                lambda x: capacity_pdf(x, spec, mu), lo, c, tol=1e-11)
             assert capacity_cdf(c, spec, mu) == pytest.approx(
                 numeric, abs=1e-9)
 
     def test_pdf_integrates_to_one(self):
         spec = ChannelSpec(20, 10.0, 5.0)
         mu = -2.5
-        lo, hi = wigner.capacity_support(spec, mu)
-        area = integrate(lambda c: wigner.capacity_pdf(c, spec, mu),
+        lo, hi = capacity_support(spec, mu)
+        area = integrate(lambda c: capacity_pdf(c, spec, mu),
                          lo, hi, tol=1e-10)
         assert area == pytest.approx(1.0, abs=1e-7)
 
@@ -69,7 +80,7 @@ class TestPerModeQuantiles:
     def test_means_sit_at_midpoint_quantiles(self):
         spec = ChannelSpec(12, 10.0, 5.0)
         mu = -2.5
-        means = wigner.per_mode_means_from_cdf(spec, mu)
+        means = wigner.per_mode_means_from_cdf(spec, wigner.per_mode_gains(spec, mu))
         assert all(a < b for a, b in zip(means, means[1:]))
         for i, m in enumerate(means, start=1):
             assert capacity_cdf(m, spec, mu) == pytest.approx(
@@ -78,8 +89,7 @@ class TestPerModeQuantiles:
     def test_sigmas_positive_and_edge_heavy(self):
         spec = ChannelSpec(12, 10.0, 5.0)
         mu = -2.5
-        means = wigner.per_mode_means_from_cdf(spec, mu)
-        sigmas = wigner.per_mode_sigmas_from_pdf(spec, mu, means)
+        sigmas = wigner.per_mode_sigmas_from_pdf(spec, wigner.per_mode_gains(spec, mu))
         assert all(s > 0 for s in sigmas)
         # the semicircle density vanishes at the edges, so each edge mode
         # spreads more than its inner neighbour (the capacity Jacobian
@@ -89,11 +99,93 @@ class TestPerModeQuantiles:
 
 
     def test_vanishing_density_is_a_typed_error(self, monkeypatch):
+        # outer modes at the semicircle's edges z = -+1, where it vanishes
         spec = ChannelSpec(12, 10.0, 5.0)
-        means = wigner.per_mode_means_from_cdf(spec, -2.5)
-        monkeypatch.setattr(wigner, "capacity_pdf", lambda *args: 0.0)
+        monkeypatch.setattr(wigner, "_quantile_offsets", _edge_offsets)
+        gains = wigner.per_mode_gains(spec, -2.5)
         with pytest.raises(DegenerateDistributionError):
-            wigner.per_mode_sigmas_from_pdf(spec, -2.5, means)
+            wigner.per_mode_sigmas_from_pdf(spec, gains)
+
+
+def _edge_offsets(D):
+    """D quantile offsets spread evenly over [-1, 1], so that the outer two
+    sit at the semicircle's edges."""
+    return tuple(2.0 * k / (D - 1) - 1.0 for k in range(D))
+
+
+def _density_to_60_digits(z, gain_db, sigma_db, snr_linear):
+    """The ensemble capacity density at a mode with quantile offset ``z`` and
+    gain ``gain_db``, 10 ln 2 / (pi sigma ln 10) (1 + 1 / g) sqrt(1 - z^2)
+    with g = snr 10^(x / 10), in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z, x, s, snr = (decimal.Decimal(v) for v in (z, gain_db, sigma_db, snr_linear))
+        ln2, ln10 = decimal.Decimal(2).ln(), decimal.Decimal(10).ln()
+        g = snr * (x * ln10 / 10).exp()
+        scale = 10 * ln2 / (decimal.Decimal(math.pi) * s * ln10)
+        return float(scale * (1 + 1 / g) * (1 - z * z).sqrt())
+
+
+class TestClosedFormModes:
+    """Each mode's gain mean, and its deviation from the ensemble capacity
+    density in the gain domain, against the capacity-domain references."""
+
+    @pytest.mark.parametrize("D", [9, 12, 20, 40, 100])
+    def test_against_the_capacity_domain_density(self, D):
+        offsets = wigner._quantile_offsets(D)
+        for snr_db in (-10.0, 0.0, 10.0, 30.0):
+            for sigma in (0.5, 5.0, 15.0, 50.0):
+                spec = ChannelSpec(D, snr_db, sigma)
+                stats = per_mode_stats(spec)
+                mu = stats.mu_lambda_db
+                assert stats.gain_means == tuple(mu + 2.0 * sigma * z for z in offsets)
+                for z, x, c, s in zip(offsets, stats.gain_means, stats.cap_means,
+                                      stats.cap_sigmas):
+                    assert s == pytest.approx(
+                        matched_sigma(capacity_pdf(c, spec, mu), D), rel=1e-13, abs=0.0)
+                    assert s == pytest.approx(matched_sigma(
+                        _density_to_60_digits(z, x, sigma, spec.snr_linear), D),
+                        rel=1e-14, abs=0.0)
+
+
+def _assert_sound_or_degenerate(spec):
+    """``per_mode_stats`` gives finite, ascending gain and capacity means,
+    positive capacities and finite, positive deviations, or raises
+    DegenerateDistributionError."""
+    try:
+        stats = per_mode_stats(spec)
+    except DegenerateDistributionError:
+        return
+    for means in (stats.gain_means, stats.cap_means):
+        assert all(math.isfinite(v) for v in means)
+        assert all(a < b for a, b in zip(means, means[1:]))
+    assert stats.cap_means[0] > 0.0
+    assert all(0.0 < s < math.inf for s in stats.cap_sigmas)
+
+
+class TestRangeLimit:
+    # the lowest modes' SNR gains underflow to 0, which a capacity-to-gain
+    # inversion met as a bare math domain error
+    @pytest.mark.parametrize("D, snr_db, sigma", [(12, 30.0, 1000.0), (100, 0.0, 840.0)])
+    def test_underflowing_gain_is_a_typed_error(self, D, snr_db, sigma):
+        with pytest.raises(DegenerateDistributionError):
+            per_mode_stats(ChannelSpec(D, snr_db, sigma))
+
+    # the first sigma_mdg (1 dB scan) at which the lowest mode's SNR gain is
+    # so far below 1e-308 that its capacity deviation rounds to 0, which was
+    # returned as such; 1 dB below, every deviation is finite and positive
+    @pytest.mark.parametrize("D, snr_db, sigma", [(12, 0.0, 859.0), (100, 30.0, 808.0)])
+    def test_zero_deviation_is_a_typed_error(self, D, snr_db, sigma):
+        stats = per_mode_stats(ChannelSpec(D, snr_db, sigma - 1.0))
+        assert all(0.0 < s < math.inf for s in stats.cap_sigmas)
+        with pytest.raises(DegenerateDistributionError, match="no Gaussian match"):
+            per_mode_stats(ChannelSpec(D, snr_db, sigma))
+
+    @settings(max_examples=300, deadline=None)
+    @given(D=st.integers(9, 100), snr_db=st.floats(-10.0, 30.0),
+           sigma=st.floats(1e-6, 3000.0))
+    def test_sound_or_a_typed_error_up_to_3000_db(self, D, snr_db, sigma):
+        _assert_sound_or_degenerate(ChannelSpec(D, snr_db, sigma))
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +205,9 @@ class TestAgainstOracle:
     def test_d20_pooled_capacity_histogram(self, d20):
         spec, stats, result = d20
         samples = np.sort(result.cap_samples.ravel())
-        lo, hi = wigner.capacity_support(spec, stats.mu_lambda_db)
+        lo, hi = capacity_support(spec, stats.mu_lambda_db)
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 4001)
-        pdf = np.array([wigner.capacity_pdf(c, spec, stats.mu_lambda_db)
+        pdf = np.array([capacity_pdf(c, spec, stats.mu_lambda_db)
                         for c in grid])
         cdf = np.concatenate([[0.0], np.cumsum(
             (pdf[1:] + pdf[:-1]) / 2.0 * np.diff(grid))])
