@@ -142,8 +142,9 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
         mu = wigner.mean_log_gain(spec)
         gain_means = wigner.per_mode_gains(spec, mu)
         gain_sigmas = ()
-        cap_means = wigner.per_mode_means_from_cdf(spec, gain_means)
-        cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, gain_means)
+        linear = wigner.snr_gains(spec, gain_means)
+        cap_means = wigner.per_mode_means_from_cdf(linear)
+        cap_sigmas = wigner.per_mode_sigmas_from_pdf(spec, linear)
     for means in (gain_means, cap_means):
         if not all(map(operator.lt, means, means[1:])):
             raise DegenerateDistributionError(

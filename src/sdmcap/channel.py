@@ -21,7 +21,8 @@ class ChannelSpec:
     """Strongly-coupled SDM link parameters.
 
     mode_count     -- number of spatial/polarization modes D (>= 2)
-    snr_db         -- total-signal to total-noise ratio, decibels (finite)
+    snr_db         -- total-signal to total-noise ratio, decibels (finite,
+                      with 10^(snr_db / 10) finite and positive)
     sigma_mdg_db   -- std of the log-scale modal gains, decibels (finite, >= 0)
     freq_bins      -- independent narrowband frequency bins N (>= 1)
     """
@@ -37,6 +38,14 @@ class ChannelSpec:
             raise ValueError("mode_count must be >= 2")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, not {self.snr_db}")
+        try:
+            linear = self.snr_linear
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ValueError(
+                f"snr_db={self.snr_db} has no finite, positive linear value "
+                f"in double precision")
         if not 0 <= self.sigma_mdg_db < math.inf:
             raise ValueError(
                 f"sigma_mdg_db must be finite and >= 0, not {self.sigma_mdg_db}")

@@ -42,13 +42,20 @@ def mean_log_gain(spec: ChannelSpec) -> float:
     For the unit semicircle U and a = sigma ln(10) / 10, E[10^(sigma U / 10)]
     = I1(2a) / a = sum_k a^(2k) / (k! (k+1)!), all terms positive.
     """
-    a2 = (spec.sigma_mdg_db * _LN10 / 10.0) ** 2
+    try:
+        a2 = (spec.sigma_mdg_db * _LN10 / 10.0) ** 2
+    except OverflowError:  # sigma_mdg above about 5.8e154 dB
+        a2 = math.inf
     term = total = 1.0
     k = 0
     while term > 1e-17 * total:
         k += 1
         term *= a2 / (k * (k + 1))
         total += term
+    if total == math.inf:
+        raise DegenerateDistributionError(
+            f"the linear-scale gain mean at sigma_mdg_db={spec.sigma_mdg_db} "
+            f"overflows double precision, so the mean log-gain has no finite value")
     return -10.0 / _LN10 * math.log(total)
 
 
@@ -83,10 +90,11 @@ def per_mode_gains(spec: ChannelSpec, mu_lambda_db: float) -> list:
     return [mu_lambda_db + two_sigma * z for z in _quantile_offsets(spec.mode_count)]
 
 
-def _snr_gains(spec: ChannelSpec, gains) -> list:
-    """g = snr 10^(x / 10) of each gain ``x`` (dB).  A g that underflows to
-    0 or overflows leaves its mode no finite, positive capacity or density,
-    which raises DegenerateDistributionError."""
+def snr_gains(spec: ChannelSpec, gains) -> list:
+    """g = snr 10^(x / 10) of each gain ``x`` (dB), which both per-mode
+    capacity statistics take.  A g that underflows to 0 or overflows leaves
+    its mode no finite, positive capacity or density, which raises
+    DegenerateDistributionError."""
     snr = spec.snr_linear
     linear = [snr * 10.0 ** (x / 10.0) for x in gains]
     if not all(0.0 < g < math.inf for g in linear):
@@ -97,17 +105,17 @@ def _snr_gains(spec: ChannelSpec, gains) -> list:
     return linear
 
 
-def per_mode_means_from_cdf(spec: ChannelSpec, gains) -> list:
+def per_mode_means_from_cdf(linear) -> list:
     """Per-mode capacity means log2(1 + g_i) at the (i - 1/2)/D quantiles of
-    the ensemble CDF, from their ``per_mode_gains``."""
-    return [math.log1p(g) / _LN2 for g in _snr_gains(spec, gains)]
+    the ensemble CDF, from the modes' SNR gains g_i (``snr_gains``)."""
+    return [math.log1p(g) / _LN2 for g in linear]
 
 
-def per_mode_sigmas_from_pdf(spec: ChannelSpec, gains) -> list:
+def per_mode_sigmas_from_pdf(spec: ChannelSpec, linear) -> list:
     """Per-mode capacity deviations matched to the ensemble capacity density
-    f_i at each mode, from their ``per_mode_gains``."""
+    f_i at each mode, from the modes' SNR gains g_i (``snr_gains``)."""
     scale = _DENSITY_SCALE / spec.sigma_mdg_db
     # 1 + 1 / g as (1 + g) / g, last, so that no factor overflows before f_i
     return [matched_sigma(scale * math.sqrt((1.0 - z) * (1.0 + z)) * (1.0 + g) / g,
                           spec.mode_count)
-            for g, z in zip(_snr_gains(spec, gains), _quantile_offsets(spec.mode_count))]
+            for g, z in zip(linear, _quantile_offsets(spec.mode_count))]

@@ -122,6 +122,21 @@ class TestNonFiniteInputs:
         assert code == 2
         assert out == ""
 
+    # 10^(snr_db / 10) overflowed to a bare OverflowError above about 3082.5 dB
+    # and rounded to 0 below about -3236 dB
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    @pytest.mark.parametrize("command", [
+        ("analytic", "--modes", "12", "--sigma-mdg-db", "5", "--gamma", "0,0"),
+        ("analytic", "--modes", "4", "--sigma-mdg-db", "5", "--gamma", "0,0"),
+        ("simulate", "--modes", "4", "--sigma-mdg-db", "5", "--trials", "10"),
+        ("fit", "--modes", "4", "--sigma-grid", "1,2,3", "--trials", "10"),
+        ("sweep", "--modes", "4", "--sigma-grid", "1,2,3", "--trials", "10"),
+    ])
+    def test_snr_without_a_linear_value_is_exit_2(self, capsys, command, snr_db):
+        code, out = run_cli(capsys, *command, f"--snr-db={snr_db}")
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("gamma", ["nan,0", "0.3", "0,0,0", "g0,g1"])
     def test_gamma_is_checked_at_zero_sigma_too(self, capsys, gamma):
         code, out = run_cli(capsys, "analytic", "--modes", "4", "--snr-db", "10",
@@ -146,20 +161,23 @@ class TestNonFiniteInputs:
 # moved from the capacity density at its round-tripped gain to the closed
 # form at its quantile: deviations moved by at most 2.5e-15 relative, gain
 # means by 2.2e-13 relative, and the totals by 2.8e-16; capacity means kept
-# their bits
+# their bits.  D = 4, 8, 9 and 100 were re-frozen when the total variance's
+# A term moved from adding its D^2 terms to a one-pass recurrence: only the
+# total deviations (by at most 2.1e-16 relative) and the D = 4 outage
+# capacity (2e-16) moved; D = 2, 6 and 40 kept every byte
 _FROZEN_REPORT_SHA256 = {
     (2, "json"): "c1f3306c9d6616285dcca84979706aa40b8b9b1efb1a32a7164e0876af64dda2",
     (2, "csv"): "3ed327163aa41fed858393b3a71d31de2410e0dee9477542e47f2aee00166f5f",
-    (4, "json"): "a64c28e13302860e8ea78c21ddbd43622e28565e002a2c518b88b7ec5c8e3fcc",
+    (4, "json"): "a4f4280dd1b1577cee482c541d3736608dd386c3553afb8313760ab359b4a17f",
     (6, "json"): "40be412cca198f4db96a2c8f562555cfd5be107e0ccfd213f0bbb45c1dc4c7c6",
     (6, "csv"): "757e413faf215490187bbcfab4263fdee2d3f5b7a09afea117fdd4d31ce14614",
     # the last GUE point and the first semicircle point
-    (8, "json"): "bbde5a87ae576c57943ec57a03276f5989b079a8ef743d6ea828e18cd0976b73",
-    (9, "json"): "b49c732d3bb3697ffb166faae551e3b06560799afd13f248ca0750d35c57083c",
+    (8, "json"): "cc067c276149b51e4dcb9083822e97cb49afcedd55e2e5e4fead063a08aa6f57",
+    (9, "json"): "71b59936709c4e45708897db22f68e5ad9aa498ec12f8041af93f1acb489fa35",
     (40, "json"): "223d1b7c5981b6c1a7e57f3a31954795694c94abfa57ab7c70a5311d6e2cd43b",
     (40, "csv"): "464dbc8d1e0f761d4a0385e1f7dd7ba295eff979cb1c25c01a219b223e002db4",
-    (100, "json"): "41956e6e41fe32f169902c13c4088e88d572910d066129f39f112769d3877b17",
-    (100, "csv"): "bf845669a8f7e904478f39fc3dfce1814dda1bd42de43cfa3a26e892d6e73b4b",
+    (100, "json"): "2630921e0f9e1d29e85dcdb71a94674de6c038b8d29a6369099b7c7884b16b2f",
+    (100, "csv"): "5f87bd7ff45200d2109b3df7fee21b57811ffee25f5a37230eb0d03dc0e7c372",
 }
 
 
@@ -172,10 +190,13 @@ def _report(capsys, D, fmt="json"):
 # D in (12, 20, 40, 100) x SNR in (5, 10, 20) dB x sigma in (1, 2.5, 5,
 # 7.5, 10) dB, their stdouts joined in that order; re-frozen with the
 # semicircle entries above, whose deviations here moved by at most 9.7e-15
-# relative, gain means by 6.3e-13 and the totals by 1.2e-15
+# relative, gain means by 6.3e-13 and the totals by 1.2e-15; re-frozen again
+# with the one-pass total variance, which moved 42 of the 60 reports: the
+# total deviations by at most 3.9e-15 relative (the D^2 sum had erred by up
+# to 8.9e-15 in A) and the outage capacities by 2.2e-16
 _FROZEN_SEMICIRCLE_GRID_SHA256 = {
-    "json": "90d8998bccbe3e12a4cc8d957e3b215fb336b0a14d204865fdbde63036897cb0",
-    "csv": "755cab199d4419f92729b85b95351280f146e11e93d13d591f88ae2c16dd9168",
+    "json": "1603cbdaff2d64ef9a8cea91f30d9442ad504c7d5cb5e373dba79029415d0c1d",
+    "csv": "253eb7f8c6ca35a943c5e2d1dc8187a8eb7cd26aa67ce396f090d9a51dad1846",
 }
 
 

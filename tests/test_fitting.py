@@ -16,16 +16,16 @@ GRID = [1.0, 2.5, 5.0, 7.5]
 # float.hex of gamma0, gamma1 and the analytic variances that ``fit`` gives
 # for fixed synthetic oracle variances on the grid 2.5, 5, 7.5 dB at 10 dB
 # SNR, frozen so that a rewrite of the variance formula or of the search
-# changes no bit.  D = 4 was re-frozen when the GUE track's capacity means
-# moved from a 1e-12 bisection in capacity to Newton in the gain domain;
-# D = 20 when the semicircle track's deviations moved to the closed-form
-# density at each mode (by up to 1e-14 relative; on the flat minimum of the
-# golden-section search gamma0 moved 1.5e-10 and gamma1 6.3e-9 relative)
+# changes no bit.  Both were last re-frozen when ``variance_terms`` moved
+# from adding the D^2 terms of A to a one-pass recurrence, which moved A by
+# a few ulps towards its exact value; on the flat minimum of the
+# golden-section search gamma0 moved up to 6.1e-11 and gamma1 up to 2.1e-8
+# relative, and the variances up to 8.3e-10
 FROZEN_FITS = {
-    4: ([0.07, 0.27, 0.55], "0x1.0558d42093396p-1", "0x1.67a307704d918p-15",
-        ["0x1.1eb851eb851ecp-4", "0x1.03ca3d5fd70acp-2", "0x1.21edcd6c69ef6p-1"]),
-    20: ([0.075, 0.22, 0.39], "0x1.940078528cc1ep-5", "0x1.8dd284a9748d5p-14",
-         ["0x1.3333333333333p-4", "0x1.d8800bdfc6beep-3", "0x1.89407ba2c74c2p-2"]),
+    4: ([0.07, 0.27, 0.55], "0x1.0558d420ab8dcp-1", "0x1.67a306f2ff55ep-15",
+        ["0x1.1eb851eb851ecp-4", "0x1.03ca3d60ed934p-2", "0x1.21edcd6f01f2bp-1"]),
+    20: ([0.075, 0.22, 0.39], "0x1.94007852220bcp-5", "0x1.8dd284baa1691p-14",
+         ["0x1.3333333333333p-4", "0x1.d8800bdda1b5bp-3", "0x1.89407b9d45a94p-2"]),
 }
 
 

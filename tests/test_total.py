@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -77,11 +78,12 @@ class TestCorrelation:
         assert (len(lags), len(exps), len(coefficients)) == (D, D, 1)
         total.total_stats(stats, model, 5.0)
         assert len(lags) == D  # the variance takes no pair correlation
-        assert len(exps) == 2 * D  # and one decay factor per lag
+        assert len(exps) == D + 1  # and one decay factor, e^-1, for all lags
 
 
 def _variance_terms_by_loop(cap_sigmas):
-    """``total.variance_terms`` as the double loop over (i, j) it replaces."""
+    """``total.variance_terms`` as the double loop over (i, j) that the
+    one-pass recurrence replaced, adding the D^2 terms in row-major order."""
     D = len(cap_sigmas)
     decay = [math.exp(-d) for d in range(D)]
     a = 0.0
@@ -92,20 +94,58 @@ def _variance_terms_by_loop(cap_sigmas):
     return a, a - total_sigma * total_sigma
 
 
+def _a_to_60_digits(cap_sigmas):
+    """A = sum_ij s_i s_j e^(-|i-j|) in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s = [decimal.Decimal(v) for v in cap_sigmas]
+        decay = [decimal.Decimal(-d).exp() for d in range(len(s))]
+        return sum(si * sj * decay[abs(i - j)]
+                   for i, si in enumerate(s) for j, sj in enumerate(s))
+
+
+def _relative_error(a, exact):
+    return abs(decimal.Decimal(a) - exact) / exact if exact else abs(a)
+
+
+# the semicircle points of the bench's analytic grid
+_SEMICIRCLE_GRID = [(D, snr, sigma) for D in (12, 20, 40, 100) for snr in (5.0, 10.0, 20.0)
+                    for sigma in (1.0, 2.5, 5.0, 7.5, 10.0)]
+
+
 class TestVarianceTerms:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=100))
-    def test_bits_equal_the_double_loop(self, cap_sigmas):
-        assert total.variance_terms(cap_sigmas) == _variance_terms_by_loop(cap_sigmas)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e3),
+                              st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)),
+                    min_size=1, max_size=200))
+    def test_a_within_4e_15_of_60_digits(self, cap_sigmas):
+        a, b = total.variance_terms(cap_sigmas)
+        assert _relative_error(a, _a_to_60_digits(cap_sigmas)) <= 4e-15
+        total_sigma = sum(cap_sigmas)
+        assert b == a - total_sigma * total_sigma
 
     @pytest.mark.parametrize("D", [2, 10, 11, 40, 100])
-    def test_bits_on_both_sides_of_the_numpy_form(self, D):
+    def test_fixed_lists_within_4e_15_of_60_digits(self, D):
         cap_sigmas = [0.1 + 0.37 * ((7 * i) % 11) for i in range(D)]
-        assert total.variance_terms(cap_sigmas) == _variance_terms_by_loop(cap_sigmas)
+        a = total.variance_terms(cap_sigmas)[0]
+        assert _relative_error(a, _a_to_60_digits(cap_sigmas)) <= 4e-15
 
-    def test_case_study_bits(self, case_stats):
-        assert total.variance_terms(case_stats.cap_sigmas) == \
-            _variance_terms_by_loop(case_stats.cap_sigmas)
+    def test_case_study_at_least_as_close_as_the_loop(self, case_stats):
+        cap_sigmas = case_stats.cap_sigmas
+        exact = _a_to_60_digits(cap_sigmas)
+        assert _relative_error(total.variance_terms(cap_sigmas)[0], exact) <= \
+            _relative_error(_variance_terms_by_loop(cap_sigmas)[0], exact)
+
+    def test_semicircle_grid_at_least_as_close_as_the_loop(self):
+        # worst case over the grid: at single points either form may round
+        # to the nearer float by chance
+        recurrence, loop = [], []
+        for D, snr_db, sigma in _SEMICIRCLE_GRID:
+            cap_sigmas = per_mode_stats(ChannelSpec(D, snr_db, sigma)).cap_sigmas
+            exact = _a_to_60_digits(cap_sigmas)
+            recurrence.append(_relative_error(total.variance_terms(cap_sigmas)[0], exact))
+            loop.append(_relative_error(_variance_terms_by_loop(cap_sigmas)[0], exact))
+        assert max(recurrence) <= max(loop)
 
 
 class TestTotalStats:

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,16 +81,28 @@ class TestPerModeQuantiles:
     def test_means_sit_at_midpoint_quantiles(self):
         spec = ChannelSpec(12, 10.0, 5.0)
         mu = -2.5
-        means = wigner.per_mode_means_from_cdf(spec, wigner.per_mode_gains(spec, mu))
+        means = wigner.per_mode_means_from_cdf(
+            wigner.snr_gains(spec, wigner.per_mode_gains(spec, mu)))
         assert all(a < b for a, b in zip(means, means[1:]))
         for i, m in enumerate(means, start=1):
             assert capacity_cdf(m, spec, mu) == pytest.approx(
                 (i - 0.5) / 12.0, abs=1e-10)
 
+    def test_snr_gains_taken_once_per_link(self, monkeypatch):
+        calls = []
+        for name in ("snr_gains", "per_mode_means_from_cdf", "per_mode_sigmas_from_pdf"):
+            f = getattr(wigner, name)
+            monkeypatch.setattr(wigner, name, lambda *args, name=name, f=f:
+                                calls.append(name) or f(*args))
+        per_mode_stats(ChannelSpec(12, 10.0, 5.0))
+        assert sorted(calls) == ["per_mode_means_from_cdf", "per_mode_sigmas_from_pdf",
+                                 "snr_gains"]
+
     def test_sigmas_positive_and_edge_heavy(self):
         spec = ChannelSpec(12, 10.0, 5.0)
         mu = -2.5
-        sigmas = wigner.per_mode_sigmas_from_pdf(spec, wigner.per_mode_gains(spec, mu))
+        sigmas = wigner.per_mode_sigmas_from_pdf(
+            spec, wigner.snr_gains(spec, wigner.per_mode_gains(spec, mu)))
         assert all(s > 0 for s in sigmas)
         # the semicircle density vanishes at the edges, so each edge mode
         # spreads more than its inner neighbour (the capacity Jacobian
@@ -102,7 +115,7 @@ class TestPerModeQuantiles:
         # outer modes at the semicircle's edges z = -+1, where it vanishes
         spec = ChannelSpec(12, 10.0, 5.0)
         monkeypatch.setattr(wigner, "_quantile_offsets", _edge_offsets)
-        gains = wigner.per_mode_gains(spec, -2.5)
+        gains = wigner.snr_gains(spec, wigner.per_mode_gains(spec, -2.5))
         with pytest.raises(DegenerateDistributionError):
             wigner.per_mode_sigmas_from_pdf(spec, gains)
 
@@ -186,6 +199,27 @@ class TestRangeLimit:
            sigma=st.floats(1e-6, 3000.0))
     def test_sound_or_a_typed_error_up_to_3000_db(self, D, snr_db, sigma):
         _assert_sound_or_degenerate(ChannelSpec(D, snr_db, sigma))
+
+    # the I1(2a)/a series overflowed from about 1563.5 dB, so the mean
+    # log-gain was -inf and the track reported per-mode gains of -inf dB;
+    # from about 5.8e154 dB squaring a raised a bare OverflowError
+    @pytest.mark.parametrize("D, snr_db, sigma",
+                             [(12, 0.0, 1564.0), (9, 0.0, 3000.0), (12, 0.0, 1e160)])
+    def test_overflowing_gain_mean_is_a_typed_error(self, D, snr_db, sigma):
+        spec = ChannelSpec(D, snr_db, sigma)
+        for call in (lambda: wigner.mean_log_gain(spec), lambda: per_mode_stats(spec)):
+            with pytest.raises(DegenerateDistributionError,
+                               match=re.escape(f"sigma_mdg_db={sigma} ") + ".*mean log-gain"):
+                call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(D=st.integers(2, 100), sigma=st.floats(0.0, 1e5))
+    def test_mean_log_gain_finite_or_a_typed_error_up_to_1e5_db(self, D, sigma):
+        try:
+            mu = wigner.mean_log_gain(ChannelSpec(D, 0.0, sigma))
+        except DegenerateDistributionError:
+            return
+        assert math.isfinite(mu)
 
 
 @pytest.fixture(scope="module")
