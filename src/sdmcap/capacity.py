@@ -50,18 +50,6 @@ def _softplus(t: float) -> float:
     return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
 
-def per_mode_capacity_pdf(c: float, mean_db: float, sigma_db: float,
-                          snr_linear: float) -> float:
-    """Capacity density of a mode with log gain N(``mean_db``, ``sigma_db``^2):
-    the gain density at x = (t - ln snr) / a, e^t = 2^c - 1, times dx/dc =
-    (ln 2 / a)(1 + e^-t), in logs: no cancelling or underflow near c = 0."""
-    if c <= 0:
-        return 0.0
-    t = math.log(math.expm1(c * _LN2))
-    u = ((t - math.log(snr_linear)) / _A - mean_db) / sigma_db
-    return math.exp(_softplus(-t) - 0.5 * u * u) * _LN2 / (_A * sigma_db * _SQRT_2PI)
-
-
 def _stationarity(d: float, t_lo: float, k: float) -> tuple:
     """(h, dh/dt), h = d / k - p, p = 1 / (1 + e^-t), t = t_lo + d: a mode's
     stationarity condition (x - m) / s^2 + a (1 - p) = a h for t = a x + ln snr,
@@ -71,17 +59,26 @@ def _stationarity(d: float, t_lo: float, k: float) -> tuple:
     return d / k - (1.0 if t >= 0 else e) / (1.0 + e), 1.0 / k - e / ((1.0 + e) * (1.0 + e))
 
 
-def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -> float:
-    """Mode of ``per_mode_capacity_pdf``, softplus(t) / ln 2 at the root of
-    ``_stationarity`` in 0 < d < k: Newton, kept inside that bracket.  Above
-    a gain deviation of 2 / a (8.69 dB), h falls between its critical points
-    t = -+2 atanh(sqrt(1 - 4 / k)); if it has three roots, the density is
-    bimodal, which raises DegenerateDistributionError."""
+def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -> tuple:
+    """(mean, deviation) of the capacity of a mode with log gain
+    N(``mean_db``, ``sigma_db``^2): the mode of its capacity density and the
+    ``matched_sigma`` of the density there.
+
+    The mean is softplus(t) / ln 2 at the root of ``_stationarity`` in
+    0 < d < k: Newton, kept inside that bracket.  Above a gain deviation of
+    2 / a (8.69 dB), h falls between its critical points t = -+tau,
+    tau = 2 atanh(sqrt(1 - 4 / k)) = 2 ln((1 + sqrt(1 - 4 / k)) sqrt(k) / 2);
+    if it has three roots, the density is bimodal, which raises
+    DegenerateDistributionError.  The density is the gain density at
+    u = (x - m) / s = (d - k) / sqrt(k) times dx/dc = (ln 2 / a)(1 + e^-t),
+    in logs: exp(softplus(-t) - u^2 / 2) ln 2 / (sqrt(k) sqrt(2 pi)), taken
+    at the root itself, so no capacity is mapped back to a gain.  One that
+    overflows (t << 0) is infinite, which ``matched_sigma`` rejects."""
     k = (_A * sigma_db) ** 2
     t_lo = _A * mean_db + math.log(snr_linear) - k
     lo, hi = 0.0, k
     if k > 4.0:
-        tau = 2.0 * math.atanh(math.sqrt(1.0 - 4.0 / k))
+        tau = 2.0 * math.log((1.0 + math.sqrt(1.0 - 4.0 / k)) * math.sqrt(k) / 2.0)
         h_max, h_min = (_stationarity(t - t_lo, t_lo, k)[0] for t in (-tau, tau))
         if h_max > 0.0 > h_min:
             raise DegenerateDistributionError(
@@ -101,7 +98,18 @@ def per_mode_capacity_mean(mean_db: float, sigma_db: float, snr_linear: float) -
             break
         if not lo < d < hi:
             d = 0.5 * (lo + hi)
-    return _softplus(t_lo + d) / _LN2
+    t = t_lo + d
+    mean = _softplus(t) / _LN2
+    if mean == 0.0:
+        raise DegenerateDistributionError(
+            f"the capacity mean of the mode with gain mean {mean_db} dB and "
+            f"deviation {sigma_db} dB underflows to 0 bit")
+    u = (d - k) / math.sqrt(k)
+    try:
+        density = math.exp(_softplus(-t) - 0.5 * u * u)
+    except OverflowError:
+        density = math.inf
+    return mean, matched_sigma(density * _LN2 / (math.sqrt(k) * _SQRT_2PI))
 
 
 def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats:
@@ -135,9 +143,8 @@ def per_mode_stats(spec: ChannelSpec, method: str = METHOD_AUTO) -> PerModeStats
         mu = gue.mean_log_gain(spec, coeffs)
         gain_means = gue.per_mode_means(spec, coeffs, mu)
         gain_sigmas = gue.per_mode_sigmas(spec, coeffs, mu, gain_means)
-        cap_means = [per_mode_capacity_mean(m, s, snr) for m, s in zip(gain_means, gain_sigmas)]
-        cap_sigmas = [matched_sigma(per_mode_capacity_pdf(c, m, s, snr))
-                      for c, m, s in zip(cap_means, gain_means, gain_sigmas)]
+        cap_means, cap_sigmas = zip(*(per_mode_capacity_mean(m, s, snr)
+                                      for m, s in zip(gain_means, gain_sigmas)))
     else:  # semicircle track
         mu = wigner.mean_log_gain(spec)
         gain_means = wigner.per_mode_gains(spec, mu)

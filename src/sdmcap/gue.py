@@ -139,7 +139,9 @@ def mean_log_gain(spec: ChannelSpec, coeffs: GueCoefficients) -> float:
     Completing the square with a = sigma ln(10) / 10 gives E[10^(sigma u / 10)]
     = alpha sqrt(2 pi / (D+1)) e^(a^2 / (2 (D+1))) sum_j beta_j E[Y^(2j)] for
     Y ~ N(m, s^2), m = a / (D+1), s^2 = 1 / (D+1), whose moments follow
-    M_n = m M_(n-1) + (n-1) s^2 M_(n-2).
+    M_n = m M_(n-1) + (n-1) s^2 M_(n-2).  Where the sum overflows (inf - inf
+    at very large sigma) the mean has no finite value, which raises
+    DegenerateDistributionError.
     """
     sigma = spec.sigma_mdg_db
     if sigma == 0:
@@ -150,8 +152,14 @@ def mean_log_gain(spec: ChannelSpec, coeffs: GueCoefficients) -> float:
     for n in range(2, 2 * coeffs.D - 1):
         moments.append((a * moments[-1] + (n - 1) * moments[-2]) / d1)
     poly = sum(b * moments[2 * j] for j, b in enumerate(coeffs.beta_float))
-    log_mean = math.log(coeffs.alpha * math.sqrt(2.0 * math.pi / d1) * poly) + 0.5 * a * a / d1
-    return -10.0 / _LN10 * log_mean
+    log_mean = (math.log(coeffs.alpha * math.sqrt(2.0 * math.pi / d1) * poly) + 0.5 * a * a / d1
+                if poly > 0.0 else math.nan)
+    mu = -10.0 / _LN10 * log_mean
+    if not math.isfinite(mu):
+        raise DegenerateDistributionError(
+            f"the linear-scale gain mean at sigma_mdg_db={sigma} has no finite, "
+            f"positive value in double precision, so the mean log-gain has none")
+    return mu
 
 
 @lru_cache(maxsize=None)

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSpec, check_integers
-from .errors import CalibrationError, EnsembleError, SdmCapError
+from .errors import CalibrationError, DegenerateDistributionError, EnsembleError
 
 _STREAM_TRIAL = 0  # the stream kind of every spawn key
 
@@ -338,7 +338,7 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
         # the spectra and controls of trials [lo, hi) from their factors and
         # controls, or rebuilt row by row when ``factors`` is None (their
         # build failed)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if factors is not None:
                 try:
                     return _section_gains(factors, g_db, power_control), control
@@ -501,7 +501,11 @@ def _seed(target: float, D: int, K: int) -> tuple:
     underflows for tiny sigma, and xi is split over K traceless sections,
     each of per-mode variance g^2 (1 - 1/D)."""
     c = (math.log(10.0) / 10.0) ** 2 * (1.0 - 1.0 / D**2) / 12.0
-    xi = target * math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 4.0 * c * target**2)))
+    try:
+        root = math.sqrt(1.0 + 4.0 * c * target**2)
+    except OverflowError:  # target above about 1.3e154 dB: a seed of 0
+        root = math.inf
+    xi = target * math.sqrt(2.0 / (1.0 + root))
     cx2 = c * xi**2
     return xi / math.sqrt(K * (1.0 - 1.0 / D)), 1.0 + cx2 / (1.0 + cx2)
 
@@ -653,7 +657,7 @@ def empirical_correlation(cap_samples) -> np.ndarray:
     if caps.ndim != 2 or caps.shape[0] < 2:
         raise ValueError("need a (trials, D) array with at least 2 trials")
     if np.any(caps.std(axis=0) == 0.0):
-        raise SdmCapError("zero variance in a mode; correlation undefined")
+        raise DegenerateDistributionError("zero variance in a mode; correlation undefined")
     corr = np.corrcoef(caps, rowvar=False)
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
@@ -761,14 +765,19 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
         lam_all = lam_all[keep]
 
     shift_db = 0.0
-    if config.power_control == POWER_CONTROL_ENSEMBLE and g_db != 0.0:
-        # deterministic ensemble-level power control: unit mean linear gain
-        mean_linear = float(lam_all.mean())
-        lam_all /= mean_linear
-        shift_db = -10.0 * math.log10(mean_linear)
-
-    gains_bins = 10.0 * np.log10(lam_all)
-    cap_bins = np.log2(1.0 + config.spec.snr_linear * lam_all)
+    spec = config.spec
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if config.power_control == POWER_CONTROL_ENSEMBLE and g_db != 0.0:
+            # deterministic ensemble-level power control: unit mean linear gain
+            mean_linear = float(lam_all.mean())
+            lam_all /= mean_linear
+            shift_db = -10.0 * math.log10(mean_linear)
+        gains_bins = 10.0 * np.log10(lam_all)
+        cap_bins = np.log2(1.0 + spec.snr_linear * lam_all)
+    if not (np.isfinite(gains_bins).all() and np.isfinite(cap_bins).all()):
+        raise DegenerateDistributionError(
+            f"the simulated gains at sigma_mdg_db={spec.sigma_mdg_db} and "
+            f"snr_db={spec.snr_db} have log gains or capacities beyond double precision")
     gains = gains_bins.mean(axis=1)
     caps = cap_bins.mean(axis=1)
     totals = cap_bins.sum(axis=2).mean(axis=1)

@@ -1,5 +1,5 @@
-"""Numeric kernels: Hermite polynomials with exact coefficients, the
-inverse error function and the Gaussian match of a density.
+"""Numeric kernels: Hermite polynomials with exact coefficients and the
+Gaussian match of a density.
 """
 
 from __future__ import annotations
@@ -42,38 +42,3 @@ def matched_sigma(density: float, modes: int = 1) -> float:
             f"density {density} at a per-mode mean has no Gaussian match of "
             f"finite, positive deviation")
     return sigma
-
-
-def inverse_erf(p: float) -> float:
-    """Inverse error function on (-1, 1).
-
-    Polynomial initial approximation (Giles-style, valid to single
-    precision) followed by Newton steps on erf, giving <= 1e-12 relative
-    error across the open interval.
-    """
-    if not -1.0 < p < 1.0:
-        raise ValueError("inverse_erf argument must lie in (-1, 1)")
-    if p == 0.0:
-        return 0.0
-    w = -math.log((1.0 - p) * (1.0 + p))
-    if w < 5.0:
-        w -= 2.5
-        y = 2.81022636e-08
-        for c in (3.43273939e-07, -3.5233877e-06, -4.39150654e-06,
-                  0.00021858087, -0.00125372503, -0.00417768164,
-                  0.246640727, 1.50140941):
-            y = c + y * w
-    else:
-        w = math.sqrt(w) - 3.0
-        y = -0.000200214257
-        for c in (0.000100950558, 0.00134934322, -0.00367342844,
-                  0.00573950773, -0.0076224613, 0.00943887047,
-                  1.00167406, 2.83297682):
-            y = c + y * w
-    y *= p
-    # Newton polish: y <- y - (erf(y) - p) / erf'(y)
-    half_sqrt_pi = 0.5 * math.sqrt(math.pi)
-    for _ in range(3):
-        err = math.erf(y) - p
-        y -= err * half_sqrt_pi * math.exp(y * y)
-    return y

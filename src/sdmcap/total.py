@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -12,12 +13,10 @@ from . import gue, wigner
 from .capacity import METHOD_GUE, PerModeStats
 from .channel import ChannelSpec
 from .errors import CorrelationRangeError
-from .numerics import inverse_erf
 
 CORRELATION_EXPONENT = 2.75
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 
@@ -147,31 +146,14 @@ def apply_frequency_diversity(stats: TotalCapacityStats, N: int) -> TotalCapacit
     return replace(stats, sigma_ct=stats.sigma_ct / math.sqrt(N))
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard-normal quantile, accurate deep into either tail: Newton on the
-    concave log Phi from the inverse-erf estimate, or from -sqrt(-2 ln p)
-    once 2p - 1 rounds to -1.  Above 1/2 by symmetry (1 - p is exact there)."""
-    if p > 0.5:
-        return -_normal_quantile(1.0 - p)
-    x = 2.0 * p - 1.0
-    z = _SQRT_2 * inverse_erf(x) if x > -1.0 else -math.sqrt(-2.0 * math.log(p))
-    for _ in range(50):
-        cdf = 0.5 * math.erfc(-z / _SQRT_2)
-        if cdf == 0.0:
-            raise ValueError(f"p_out={p} is below the representable normal tail")
-        step = math.log(cdf / p) * cdf * _SQRT_2PI / math.exp(-0.5 * z * z)
-        z -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(z)):
-            break
-    return z
-
-
 def outage_capacity(mu: float, sigma: float, p_out: float) -> float:
-    """Gaussian outage capacity mu + sigma Phi^-1(p_out)."""
+    """Gaussian outage capacity mu + sigma Phi^-1(p_out), with Phi^-1 the
+    standard library's (Wichura's AS241), accurate down to the smallest
+    subnormal p_out."""
     if not 0.0 < p_out < 1.0:
         raise ValueError("p_out must lie in (0, 1)")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return mu
-    return sigma * _normal_quantile(p_out) + mu
+    return sigma * _STANDARD_NORMAL.inv_cdf(p_out) + mu

@@ -6,9 +6,10 @@ Wigner density of the log gains, ``capacity_pdf`` and ``capacity_cdf`` the
 semicircle-limit capacity density and CDF on ``capacity_support``, in the
 capacity domain through ``gain_db_from_capacity``.  The semicircle track
 takes the CDF's quantiles and the density there in closed form, in the
-gain domain.  ``bisect`` and ``capacity_mean_by_bisection`` solve a GUE
-mode's capacity mean in the capacity domain, as
-``capacity.per_mode_capacity_mean`` does in the gain domain.
+gain domain.  ``per_mode_capacity_pdf`` is a GUE mode's capacity density,
+mapped from capacity back to gain, and ``bisect`` and
+``capacity_mean_by_bisection`` solve its mean in the capacity domain;
+``capacity.per_mode_capacity_mean`` takes both in the gain domain.
 """
 
 from __future__ import annotations
@@ -140,6 +141,20 @@ def capacity_cdf(c: float, spec, mu_lambda_db: float) -> float:
     z = (gain_db_from_capacity(c, spec.snr_linear) - mu_lambda_db) / (2.0 * sigma)
     z = max(-1.0, min(1.0, z))
     return 0.5 + (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi
+
+
+def per_mode_capacity_pdf(c: float, mean_db: float, sigma_db: float,
+                          snr_linear: float) -> float:
+    """Capacity density of a mode with log gain N(``mean_db``, ``sigma_db``^2):
+    the gain density at x = (t - ln snr) / a, e^t = 2^c - 1, times dx/dc =
+    (ln 2 / a)(1 + e^-t), in logs: no cancelling or underflow near c = 0."""
+    if c <= 0:
+        return 0.0
+    a = _LN10 / 10.0
+    t = math.log(math.expm1(c * _LN2))
+    u = ((t - math.log(snr_linear)) / a - mean_db) / sigma_db
+    softplus = max(-t, 0.0) + math.log1p(math.exp(-abs(t)))  # ln(1 + e^-t)
+    return math.exp(softplus - 0.5 * u * u) * _LN2 / (a * sigma_db * math.sqrt(2.0 * math.pi))
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:

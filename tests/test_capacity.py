@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from sdmcap import capacity, gue
 from sdmcap.channel import ChannelSpec
+from sdmcap.cli import main
 from sdmcap.errors import DegenerateDistributionError, UnsupportedOrderError
-from tests.reference import capacity_mean_by_bisection
+from sdmcap.numerics import matched_sigma
+from tests.reference import capacity_mean_by_bisection, per_mode_capacity_pdf
 from tests.test_gue import (
     GAIN_MEANS_D6_S5,
     GAIN_SIGMAS_D6_S5,
@@ -68,15 +70,24 @@ class TestPerModeStats:
     def test_cap_means_are_density_modes(self, case_study):
         st = case_study
         snr = ChannelSpec(6, 10.0, 5.0).snr_linear
-        for mu_c, m, s in zip(st.cap_means, st.gain_means, st.gain_sigmas):
-            f0 = capacity.per_mode_capacity_pdf(mu_c, m, s, snr)
-            assert f0 > capacity.per_mode_capacity_pdf(mu_c - 0.01, m, s, snr)
-            assert f0 > capacity.per_mode_capacity_pdf(mu_c + 0.01, m, s, snr)
+        for mu_c, sigma_c, m, s in zip(st.cap_means, st.cap_sigmas,
+                                       st.gain_means, st.gain_sigmas):
+            f0 = per_mode_capacity_pdf(mu_c, m, s, snr)
+            assert f0 > per_mode_capacity_pdf(mu_c - 0.01, m, s, snr)
+            assert f0 > per_mode_capacity_pdf(mu_c + 0.01, m, s, snr)
+            # the density taken at the solver's root, not at the capacity
+            # mapped back to a gain
+            assert sigma_c == pytest.approx(matched_sigma(f0), rel=4e-15, abs=0.0)
 
-    def test_vanishing_capacity_density_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(capacity, "per_mode_capacity_pdf", lambda *args: 0.0)
-        with pytest.raises(DegenerateDistributionError):
-            capacity.per_mode_stats(ChannelSpec(6, 10.0, 5.0))
+    def test_vanishing_capacity_density_is_a_typed_error(self, capsys):
+        # the lowest mode's capacity density at its mean overflows: it is
+        # infinite, which has no Gaussian match
+        code = main(["analytic", "--modes", "7", "--snr-db", "-3236", "--sigma-mdg-db",
+                     "0.389", "--method", "gue", "--gamma", "0,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "density inf" in captured.err
 
     # the first sigma_mdg (0.5 dB scan) at which the lowest mode's -6 sigma
     # gain maps to a capacity 2^c - 1 rounds to 0 at, where the capacity-
@@ -125,8 +136,8 @@ class TestPerModeStats:
     def test_capacity_pdf_vanishes_at_non_positive_capacity(self, case_study):
         snr = 10.0
         m, s = case_study.gain_means[0], case_study.gain_sigmas[0]
-        assert capacity.per_mode_capacity_pdf(0.0, m, s, snr) == 0.0
-        assert capacity.per_mode_capacity_pdf(-1.0, m, s, snr) == 0.0
+        assert per_mode_capacity_pdf(0.0, m, s, snr) == 0.0
+        assert per_mode_capacity_pdf(-1.0, m, s, snr) == 0.0
 
 
 def _assert_sound_or_bimodal(spec):
@@ -154,7 +165,7 @@ def _modes(D, snr_db, sigma):
 
 
 def _pdf_to_60_digits(c, mean_db, sigma_db, snr_linear):
-    """``per_mode_capacity_pdf`` as the capacity-domain change of variables,
+    """A mode's capacity density as the capacity-domain change of variables,
     in 60-digit decimal arithmetic, where 2^c - 1 cannot cancel."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
@@ -203,7 +214,7 @@ class TestGainDomainSolver:
                     snr, modes = _modes(D, snr_db, sigma)
                     for m, s in modes:
                         try:
-                            c = capacity.per_mode_capacity_mean(m, s, snr)
+                            c = capacity.per_mode_capacity_mean(m, s, snr)[0]
                             ref = capacity_mean_by_bisection(m, s, snr)
                         except DegenerateDistributionError:
                             continue
@@ -218,7 +229,7 @@ class TestGainDomainSolver:
         # stationary points
         snr, modes = _modes(D, snr_db, sigma)
         m, s = modes[-1]
-        assert _sign_changes(lambda c: capacity.per_mode_capacity_pdf(c, m, s, snr),
+        assert _sign_changes(lambda c: per_mode_capacity_pdf(c, m, s, snr),
                              capacity.capacity_from_gain(m - 6.0 * s, snr),
                              capacity.capacity_from_gain(m, snr)) == 3
         with pytest.raises(DegenerateDistributionError, match="bimodal"):
@@ -250,14 +261,15 @@ class TestGainDomainSolver:
         # the lowest mode at D = 2 sits near 1e-15 bit, where 2^c - 1 cancels
         snr, modes = _modes(2, 0.0, sigma)
         m, s = modes[0]
-        c = capacity.per_mode_capacity_mean(m, s, snr)
+        c, sigma_c = capacity.per_mode_capacity_mean(m, s, snr)
         assert 0.0 < c < 1e-11
-        density = capacity.per_mode_capacity_pdf(c, m, s, snr)
+        density = per_mode_capacity_pdf(c, m, s, snr)
         assert density == pytest.approx(_pdf_to_60_digits(c, m, s, snr), rel=1e-9)
+        assert sigma_c == pytest.approx(matched_sigma(density), rel=1e-9)
         for side in (1.0 - 1e-3, 1.0 + 1e-3):
-            assert density > capacity.per_mode_capacity_pdf(c * side, m, s, snr)
+            assert density > per_mode_capacity_pdf(c * side, m, s, snr)
         stats = capacity.per_mode_stats(ChannelSpec(2, 0.0, sigma))
-        assert stats.cap_means[0] == c and stats.cap_sigmas[0] > 0.0
+        assert (stats.cap_means[0], stats.cap_sigmas[0]) == (c, sigma_c)
 
 
 def _sign_changes(f, lo, hi, n=20000):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,32 @@ class TestNonFiniteInputs:
         assert code == 2
         assert out == ""
 
+    def test_gue_report_at_the_largest_snr_is_finite(self, capsys):
+        # each mode's capacity, above 1024 bit there, was mapped back to a
+        # gain through 2^c - 1, which overflowed
+        code, out = run_cli(capsys, "analytic", "--modes", "4", "--snr-db=3082.5",
+                            "--sigma-mdg-db", "5", "--gamma", "0,0")
+        assert code == 0
+        assert all(math.isfinite(v) for v in _numbers(json.loads(out)))
+
+    @pytest.mark.parametrize("argv", [
+        # the GUE bracket's critical point atanh(sqrt(1 - 4 / k)), with the
+        # square root rounded to 1
+        ["analytic", "--modes", "3", "--snr-db", "1040.69", "--sigma-mdg-db", "1.003e22",
+         "--gamma", "0,0"],
+        # the capacities log2(1 + snr gain) overflow
+        ["simulate", "--modes", "4", "--snr-db=3082.5", "--sigma-mdg-db", "5",
+         "--trials", "10", "--sections", "3"],
+        # the calibration seed squared sigma_mdg
+        ["simulate", "--modes", "10", "--snr-db", "17.5", "--sigma-mdg-db", "3.7e289",
+         "--trials", "2", "--sections", "3"],
+        # the ensemble's mean linear gain overflows
+        ["simulate", "--modes", "12", "--snr-db=-1697.68", "--sigma-mdg-db", "881.32",
+         "--trials", "11", "--sections", "1", "--seed", "24"],
+    ])
+    def test_overflow_is_a_typed_error(self, argv):
+        _assert_typed_error(*_run_strictly(argv))
+
     @pytest.mark.parametrize("gamma", ["nan,0", "0.3", "0,0,0", "g0,g1"])
     def test_gamma_is_checked_at_zero_sigma_too(self, capsys, gamma):
         code, out = run_cli(capsys, "analytic", "--modes", "4", "--snr-db", "10",
@@ -164,16 +191,21 @@ class TestNonFiniteInputs:
 # their bits.  D = 4, 8, 9 and 100 were re-frozen when the total variance's
 # A term moved from adding its D^2 terms to a one-pass recurrence: only the
 # total deviations (by at most 2.1e-16 relative) and the D = 4 outage
-# capacity (2e-16) moved; D = 2, 6 and 40 kept every byte
+# capacity (2e-16) moved; D = 2, 6 and 40 kept every byte.  D = 2, 4, 8 and
+# 9 were re-frozen when each GUE mode's capacity density was taken at its
+# own Newton root and the outage quantile came from statistics.NormalDist:
+# the D = 8 capacity deviations moved by at most 1.7e-16 relative and the
+# D = 2, 4 and 9 outage capacities by 2.0e-16; D = 6, 40 and 100 kept every
+# byte
 _FROZEN_REPORT_SHA256 = {
-    (2, "json"): "c1f3306c9d6616285dcca84979706aa40b8b9b1efb1a32a7164e0876af64dda2",
-    (2, "csv"): "3ed327163aa41fed858393b3a71d31de2410e0dee9477542e47f2aee00166f5f",
-    (4, "json"): "a4f4280dd1b1577cee482c541d3736608dd386c3553afb8313760ab359b4a17f",
+    (2, "json"): "0b0f4b262da68abf76db4eeb894a7e86c042a0f228dae3656b521637e1d961d8",
+    (2, "csv"): "30988a692886ce622cf9a477fd1dbf0728979eca79f88daf5bdb607809d88933",
+    (4, "json"): "4498db87eb0e6b4e235b4cd0688d0b3ab52ebb9b95ebcaaedfd5fe982b4c084f",
     (6, "json"): "40be412cca198f4db96a2c8f562555cfd5be107e0ccfd213f0bbb45c1dc4c7c6",
     (6, "csv"): "757e413faf215490187bbcfab4263fdee2d3f5b7a09afea117fdd4d31ce14614",
     # the last GUE point and the first semicircle point
-    (8, "json"): "cc067c276149b51e4dcb9083822e97cb49afcedd55e2e5e4fead063a08aa6f57",
-    (9, "json"): "71b59936709c4e45708897db22f68e5ad9aa498ec12f8041af93f1acb489fa35",
+    (8, "json"): "d318e693cdc86827f72ca026d097f38428e521bf4c69d8a4a6838371ce23aece",
+    (9, "json"): "5e196db348833e7569eb021aeea84cf4eec61b50489acccfb88d1a8014b9b6ec",
     (40, "json"): "223d1b7c5981b6c1a7e57f3a31954795694c94abfa57ab7c70a5311d6e2cd43b",
     (40, "csv"): "464dbc8d1e0f761d4a0385e1f7dd7ba295eff979cb1c25c01a219b223e002db4",
     (100, "json"): "2630921e0f9e1d29e85dcdb71a94674de6c038b8d29a6369099b7c7884b16b2f",
@@ -193,10 +225,12 @@ def _report(capsys, D, fmt="json"):
 # relative, gain means by 6.3e-13 and the totals by 1.2e-15; re-frozen again
 # with the one-pass total variance, which moved 42 of the 60 reports: the
 # total deviations by at most 3.9e-15 relative (the D^2 sum had erred by up
-# to 8.9e-15 in A) and the outage capacities by 2.2e-16
+# to 8.9e-15 in A) and the outage capacities by 2.2e-16; re-frozen with the
+# standard library's normal quantile, which moved 3 of the 60 outage
+# capacities by at most 2.2e-16 relative
 _FROZEN_SEMICIRCLE_GRID_SHA256 = {
-    "json": "1603cbdaff2d64ef9a8cea91f30d9442ad504c7d5cb5e373dba79029415d0c1d",
-    "csv": "253eb7f8c6ca35a943c5e2d1dc8187a8eb7cd26aa67ce396f090d9a51dad1846",
+    "json": "f496c07e46f2211d912194f22aa320fdcc6b9a1abff90c41791417968b1079bf",
+    "csv": "c7781577c9f11023d9c7812518480993e59e6d963b8bc5410680c6c91708d627",
 }
 
 
@@ -363,32 +397,83 @@ def _numbers(value):
         yield value
 
 
-class TestAnalyticProperties:
-    @settings(max_examples=150, deadline=None)
-    @given(D=st.integers(2, 100), snr_db=st.floats(0.0, 30.0),
-           sigma=st.floats(0.0, 15.0, exclude_min=True),
-           p_out=st.floats(1e-12, 0.5))
-    def test_report_is_sound_or_a_typed_error(self, D, snr_db, sigma, p_out):
-        out, err = io.StringIO(), io.StringIO()
+def _run_strictly(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, a RuntimeWarning raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analytic", "--modes", str(D), "--snr-db", repr(snr_db),
-                         "--sigma-mdg-db", repr(sigma), "--pout", repr(p_out),
-                         "--gamma", "0,0"])
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_typed_error(code, out, err):
+    """A usage or range error (2), a missing gamma (3), a failed simulation
+    (4) or fit (5): one line naming what failed, and no report."""
+    assert code in (2, 3, 4, 5), err
+    assert out == ""
+    assert err.startswith({4: "simulation error: ", 5: "fit error: "}.get(code, "error: ")), err
+    assert err not in ("error: math domain error\n", "error: math range error\n")
+
+
+# every SNR with a finite, positive linear value, drawn near either end as
+# often as anywhere; sigma_mdg log-uniform up to 1e300 dB, 0, and up to 50 dB
+# as often
+_SNR_DB = st.one_of(st.floats(-3236.0, 3082.5), st.floats(-3236.0, -3150.0),
+                    st.floats(3000.0, 3082.5))
+_SIGMA_MDG_DB = st.one_of(st.just(0.0), st.floats(-15.0, 300.0).map(lambda e: 10.0 ** e),
+                          st.floats(0.0, 50.0))
+
+
+class TestAnalyticProperties:
+    @settings(max_examples=1000, deadline=None)
+    @given(D=st.integers(2, 100), snr_db=_SNR_DB, sigma=_SIGMA_MDG_DB,
+           p_out=st.floats(-323.3, math.log10(0.5)).map(lambda e: 10.0 ** e),
+           method=st.sampled_from(["auto", "gue", "wigner"]))
+    def test_report_is_sound_or_a_typed_error(self, D, snr_db, sigma, p_out, method):
+        code, out, err = _run_strictly(
+            ["analytic", "--modes", str(D), f"--snr-db={snr_db!r}",
+             "--sigma-mdg-db", repr(sigma), "--pout", repr(p_out), "--method", method,
+             "--gamma", "0,0"])
         if code != 0:
-            assert code in (2, 3, 4, 5), err.getvalue()
-            assert err.getvalue().startswith("error: ")
+            _assert_typed_error(code, out, err)
             return
-        r = json.loads(out.getvalue())
+        r = json.loads(out)
         assert all(math.isfinite(v) for v in _numbers(r))
+        outage, mean = r["outage_capacity_bits_per_s_per_hz"], r["total_mean_bits_per_s_per_hz"]
+        if sigma == 0:  # a flat link: no spread to lose
+            assert outage == mean
+            return
         for key in ("per_mode_gain_mean_db", "per_mode_cap_mean_bits_per_s_per_hz"):
             assert all(a < b for a, b in zip(r[key], r[key][1:])), key
         assert all(s > 0 for s in r["per_mode_gain_std_db"]
                    + r["per_mode_cap_std_bits_per_s_per_hz"]
                    + [r["total_std_bits_per_s_per_hz"]])
-        outage, mean = r["outage_capacity_bits_per_s_per_hz"], r["total_mean_bits_per_s_per_hz"]
         assert outage <= mean
         # within rounding of p = 1/2 the outage offset vanishes against the mean
         assert outage < mean or p_out > 0.49
+
+
+class TestSimulateProperties:
+    # tiny trial and section counts and D <= 16, so that an example that
+    # calibrates up to the oracle's positivity limit stays within seconds
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(2, 16), snr_db=_SNR_DB, sigma=_SIGMA_MDG_DB,
+           trials=st.integers(2, 12), sections=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1),
+           pc=st.sampled_from([mc.POWER_CONTROL_TRIAL, mc.POWER_CONTROL_ENSEMBLE]))
+    def test_report_is_sound_or_a_typed_error(self, D, snr_db, sigma, trials, sections,
+                                              seed, pc):
+        code, out, err = _run_strictly(
+            ["simulate", "--modes", str(D), f"--snr-db={snr_db!r}",
+             "--sigma-mdg-db", repr(sigma), "--trials", str(trials),
+             "--sections", str(sections), "--seed", str(seed), "--power-control", pc])
+        if code != 0:
+            _assert_typed_error(code, out, err)
+            return
+        r = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert all(math.isfinite(v) for v in _numbers(r))
+        assert r["total_var"] >= 0.0
 
 
 _ORACLE_ARGS = ["--snr-db", "10", "--trials", "40", "--sections", "5", "--seed", "3"]

@@ -111,6 +111,12 @@ class TestMeanLogGain:
     def test_zero_sigma_shortcut(self):
         assert gue.mean_log_gain(ChannelSpec(4, 10.0, 0.0), None) == 0.0
 
+    @pytest.mark.parametrize("D", [4, 8])
+    def test_overflowing_mean_is_a_typed_error(self, D):
+        # the moment sum took inf - inf and returned NaN
+        with pytest.raises(DegenerateDistributionError, match="sigma_mdg_db=1e"):
+            gue.mean_log_gain(ChannelSpec(D, 10.0, 1e160), gue.derive_coefficients(D))
+
     def test_unit_linear_mean_holds(self):
         spec = ChannelSpec(5, 10.0, 4.0)
         coeffs = gue.derive_coefficients(5)

@@ -2,11 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdmcap.errors import DegenerateDistributionError
-from sdmcap.numerics import hermite, inverse_erf, matched_sigma
+from sdmcap.numerics import hermite, matched_sigma
 from tests.reference import QuadratureError, bisect, integrate
 
 
@@ -68,25 +66,3 @@ def test_matched_sigma_is_finite_and_positive(density, modes):
     # infinity, has no Gaussian match
     with pytest.raises(DegenerateDistributionError):
         matched_sigma(density, modes)
-
-
-class TestInverseErf:
-    @pytest.mark.parametrize("y", [-0.999, -0.5, -1e-6, 0.0, 0.1, 0.9, 0.99999])
-    def test_roundtrip(self, y):
-        assert math.erf(inverse_erf(y)) == pytest.approx(y, abs=1e-12)
-
-    def test_normal_quantile_value(self):
-        # standard-normal quantile at p = 0.01 via sqrt(2) erfinv(2p - 1)
-        q = math.sqrt(2.0) * inverse_erf(2.0 * 0.01 - 1.0)
-        assert q == pytest.approx(-2.3263478740408408, abs=1e-9)
-
-    @given(st.floats(-0.99999, 0.99999))
-    @settings(max_examples=200)
-    def test_roundtrip_property(self, y):
-        assert math.erf(inverse_erf(y)) == pytest.approx(y, abs=1e-11)
-
-    def test_domain_edges(self):
-        with pytest.raises(ValueError):
-            inverse_erf(1.0)
-        with pytest.raises(ValueError):
-            inverse_erf(-1.5)
