@@ -80,6 +80,10 @@ def fit(D: int, snr_db: float, sigma_grid, oracle_vars) -> FittedModel:
     terms = check_terms[0::2]
 
     a0, b0 = terms[0]
+    if b0 == 0.0:  # no deviation at the smallest sigma, or none left after underflow
+        raise FitError(
+            f"the analytic variance at the smallest grid sigma_mdg, {sigma_grid[0]} dB, "
+            f"does not depend on the correlation model, so it cannot anchor gamma0")
     s0_pow = sigma_grid[0] ** CORRELATION_EXPONENT
 
     def anchored(gamma1: float) -> CorrelationModel:

@@ -19,7 +19,7 @@ the spectra, so the pass holds about two blocks per worker plus the
 calibration memo, whatever its trial count.  It isolates failures,
 redoing a block whose build or chain raises row by row, each row from its
 own stream; a row that still fails is NaN.  Calibration measures such
-a gain as NaN, and the trial pass discards the row.
+a gain as NaN, and a run discards the row's trial.
 
 ``run_ensembles`` is the one oracle path: it runs a grid of configs that
 differ only in sigma_mdg and SNR (same D, sections, seed, trials, frequency
@@ -130,11 +130,11 @@ class McEnsembleResult:
     total_mean: float
     total_var: float
     total_samples: list
-    discarded: tuple = ()  # stream indices of the discarded trials, ascending
-    calibration_trials_used: int = 0  # trials of the calibration sample
-    calibration_rel_se: float | None = None  # its pooled std's, as estimated
-    gain_samples: np.ndarray = field(default=None, repr=False)
-    cap_samples: np.ndarray = field(default=None, repr=False)
+    discarded: tuple  # stream indices of the discarded trials, ascending
+    calibration_trials_used: int  # trials of the calibration sample
+    calibration_rel_se: float | None  # its pooled std's, as estimated
+    gain_samples: np.ndarray = field(repr=False)
+    cap_samples: np.ndarray = field(repr=False)
 
     @property
     def discarded_trials(self) -> int:
@@ -402,47 +402,34 @@ def _spectra(D: int, K: int, bins: int, seed: int, gains_db, starts, counts,
 
 def measure_ensemble_std(D: int, K: int, gains_db, seed: int, trials,
                          power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
-                         memo: list | None = None, rel_se: list | None = None,
-                         spectra: list | None = None) -> list:
-    """Std (dB) of the pooled lambda_dB ensemble at each per-section gain in
-    ``gains_db``, over the leading trials of the trial stream, each with
-    its ``bins`` frequency bins, so repeated calls with the same seed see
-    the same underlying randomness.  ``trials`` is one count for every gain
-    or one count per gain: gain i is measured over trials [0, trials[i]).
+                         memo: list | None = None) -> list:
+    """One (std, rel_se, spectra) per per-section gain in ``gains_db``: the
+    std (dB) of the pooled lambda_dB ensemble of gain i over trials [0,
+    trials[i]) of the trial stream, each with its ``bins`` frequency bins,
+    so repeated calls with the same seed see the same underlying randomness;
+    the relative standard error of that std; and the (trials[i] * bins, D)
+    spectra it was measured on.
 
     The spectra and their rows' controls come from one ``_spectra`` pass,
     whose ``memo`` (a list of build blocks) this passes on, and each std is
-    estimated with the
-    control (``_pooled_std``).  The requested power control is applied
-    before measuring (the deterministic ensemble-level gain has no effect on
-    the std, so the ensemble mode measures the raw spectrum).  A gain of 0
-    measures exactly 0; a non-positive, non-finite or failed spectrum makes
-    the measurement NaN.
-
-    ``rel_se``, if given, is extended with one relative standard error of
-    the std per gain (None for a gain of 0 or a NaN measurement), and
-    ``spectra`` with the (trials[i] * bins, D) spectra each gain was
-    measured on (None for a gain of 0)."""
-    counts = list(trials) if np.ndim(trials) else [trials] * len(gains_db)
+    estimated with the control (``_pooled_std``).  The requested power
+    control is applied before measuring (the deterministic ensemble-level
+    gain has no effect on the std, so the ensemble mode measures the raw
+    spectrum).  A gain of 0 measures (0.0, None, None); a non-positive,
+    non-finite or failed spectrum makes the std NaN and its rel_se None."""
     live = [i for i, g in enumerate(gains_db) if g != 0.0]
     lams, controls = _spectra(D, K, bins, seed, [gains_db[i] for i in live], [0] * len(live),
-                              [counts[i] for i in live], power_control, memo)
-    stds = [0.0] * len(gains_db)
-    ses = [None] * len(gains_db)
-    measured = [None] * len(gains_db)
+                              [trials[i] for i in live], power_control, memo)
+    records = [(0.0, None, None)] * len(gains_db)
     # a zero eigenvalue's -inf dB is caught as non-finite, not warned about
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, lam, control in zip(live, lams, controls):
-            measured[i] = lam
-            stds[i], ses[i] = _pooled_std(10.0 * np.log10(lam), control, K * (D - 1))
-    if rel_se is not None:
-        rel_se.extend(ses)
-    if spectra is not None:
-        spectra.extend(measured)
-    return stds
+            records[i] = (*_pooled_std(10.0 * np.log10(lam), control, K * (D - 1)), lam)
+    return records
 
 
 _PILOT_TRIALS = 64  # leading trials that size each sigma's calibration sample
+_MAX_ITER = 50  # halvings of one step, and secant steps, of one calibration
 
 
 def _pooled_std(pooled, control, control_mean: float) -> tuple:
@@ -573,17 +560,19 @@ def _secant(target: float, D: int, K: int, tol: float, max_iter: int):
 
 
 def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
-                           tol: float = 0.01, max_iter: int = 50,
-                           power_control: str = POWER_CONTROL_ENSEMBLE, bins: int = 1,
-                           memo: list | None = None, spectra: dict | None = None) -> tuple:
-    """Per-section log-gain std (dB) hitting each target ensemble sigma_mdg
-    in ``targets``, in order, and the size of each target's sample.
+                           tol: float = 0.01, power_control: str = POWER_CONTROL_ENSEMBLE,
+                           bins: int = 1, memo: list | None = None) -> list:
+    """One (gain, n, rel_se, spectra) per target ensemble sigma_mdg in
+    ``targets``: the per-section log-gain std (dB) that hits it, the trials
+    of its sample, the relative standard error of its pooled std at n
+    trials, as the pilot estimates it, and the (n * bins, D) spectra of its
+    last measurement, which was made at that gain.
 
-    Each target runs its own iteration (``_secant``) on the measured
-    ensemble std: the model seed for D and K, returned if it measures within
-    ``tol``, else a log-log Newton step and secant steps.  Common random
-    numbers across iterations make the objective a deterministic smooth
-    function of the per-section gain.
+    Each target runs its own iteration (``_secant``, at most ``_MAX_ITER``
+    steps in each loop) on the measured ensemble std: the model seed for D
+    and K, returned if it measures within ``tol``, else a log-log Newton
+    step and secant steps.  Common random numbers across iterations make the
+    objective a deterministic smooth function of the per-section gain.
 
     The sample is the leading trials of the trial stream, each with its
     ``bins`` frequency bins.  Each target's sample is as large as its own
@@ -598,24 +587,20 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
     std, as ``measure_ensemble_std`` estimates it with its control.  If
     n > n_pilot the gain stays pending and is measured again over the n
     trials in the next round; every later measurement is made over trials
-    [0, n).  So n depends only on the target's own pilot, and the returned
-    gain was last measured over trials [0, n).
+    [0, n).  So n depends only on the target's own pilot, and rel_se is at
+    most tol / 2 whenever n < ``trials_cal``.
 
     The iterations run in lockstep: a round measures every pending gain in
     one pass over the shared sample.  Its Haar factors and unit gain draws
     are built once per call, in whole build blocks, within ``_CHUNK_BUDGET``
     and once per round beyond it; ``memo``, if given, is the list of held
-    blocks, kept for the caller (see ``_spectra``).  Each gain is the one a lone call for its target would
-    return.  ``spectra``, if given, maps each target index but those of 0
-    to the (n * bins, D) spectra of its last measurement.
-
-    Returns the gains and one (n, se) pair per target: the trials its
-    sample used and the relative standard error of its pooled std at n
-    trials, as the pilot estimates it.  That is at most tol / 2 whenever
-    n < ``trials_cal``.  A target of 0 measures nothing, (0, None); se is
-    None too when the pilot has one row."""
-    secants = [_secant(t, D, K, tol, max_iter) for t in targets]
-    gains = [0.0] * len(secants)
+    blocks, kept for the caller (see ``_spectra``).  Each record is the one
+    a lone call for its target would return.  A target of 0 measures
+    nothing, (0.0, 0, None, None); rel_se is None too when the pilot has
+    one row."""
+    secants = [_secant(t, D, K, tol, _MAX_ITER) for t in targets]
+    # n = 0 until the pilot measures finite
+    records = [(0.0, 0, None, None)] * len(secants)
     pending = {}  # secant index -> gain it waits to have measured
 
     def advance(i, std):
@@ -623,32 +608,30 @@ def calibrate_section_gain(D: int, K: int, targets, trials_cal: int, seed: int,
             pending[i] = secants[i].send(std)
         except StopIteration as done:
             pending.pop(i, None)
-            gains[i] = done.value
+            records[i] = (done.value, *records[i][1:])
 
     for i in range(len(secants)):
         advance(i, None)
     n_pilot = min(_PILOT_TRIALS, trials_cal)
-    sizes = [(0, None)] * len(secants)  # (n, se), n = 0 until the pilot is finite
     memo = [] if memo is None else memo  # gain-independent factors, shared by every round
     while pending:
         order = list(pending)
         gains_db = [pending[i] for i in order]
-        rel_se, measured = [], []
-        stds = measure_ensemble_std(D, K, gains_db, seed,
-                                    [sizes[i][0] or n_pilot for i in order],
-                                    power_control=power_control, bins=bins, memo=memo,
-                                    rel_se=rel_se, spectra=measured)
-        for i, g_db, std, se, lam in zip(order, gains_db, stds, rel_se, measured):
-            if spectra is not None and lam is not None:
-                spectra[i] = lam
-            if sizes[i][0] == 0 and g_db != 0.0 and math.isfinite(std):
+        measured = measure_ensemble_std(D, K, gains_db, seed,
+                                        [records[i][1] or n_pilot for i in order],
+                                        power_control=power_control, bins=bins, memo=memo)
+        for i, g_db, (std, se, lam) in zip(order, gains_db, measured):
+            n, n_se = records[i][1:3]
+            sized = n == 0 and g_db != 0.0 and math.isfinite(std)
+            if sized:
                 need = math.inf if se is None else n_pilot * (se / (0.5 * tol)) ** 2
                 n = trials_cal if need >= trials_cal else max(n_pilot, math.ceil(need))
-                sizes[i] = (n, None if se is None else se * math.sqrt(n_pilot / n))
-                if n > n_pilot:
-                    continue  # remade over the n trials in the next round
+                n_se = None if se is None else se * math.sqrt(n_pilot / n)
+            records[i] = (g_db, n, n_se, lam)
+            if sized and n > n_pilot:
+                continue  # remade over the n trials in the next round
             advance(i, std)
-    return gains, sizes
+    return records
 
 
 def empirical_correlation(cap_samples) -> np.ndarray:
@@ -718,28 +701,22 @@ def run_ensembles(configs) -> list:
     pc = first.power_control
 
     T = first.trials
-    memo, measured = [], {}  # calibration's held blocks and last spectra, for the trial pass
-    gains, sizes = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
-                                          first.calibration_trials, first.seed,
-                                          first.calibration_tol, power_control=pc, bins=N,
-                                          memo=memo, spectra=measured)
-    live = [i for i, g in enumerate(gains) if g != 0.0]  # g = 0 skips the chain
-    reused = [min(sizes[i][0], T) for i in live]
+    memo = []  # calibration's held blocks, for the trial pass
+    records = calibrate_section_gain(D, K, [c.spec.sigma_mdg_db for c in configs],
+                                     first.calibration_trials, first.seed,
+                                     first.calibration_tol, power_control=pc, bins=N,
+                                     memo=memo)
+    live = [i for i, (g, *_) in enumerate(records) if g != 0.0]  # g = 0 skips the chain
+    reused = [min(records[i][1], T) for i in live]
     # the trial pass reads no held block below the first trial it chains
     k = min(reused, default=T) // _chunk_size(D, K, N)
     memo = [None] * k + memo[k:]
     lam_all = [np.ones((T, N, D)) for _ in configs]
-    discarded = [[] for _ in configs]
-    spectra, _ = _spectra(D, K, N, first.seed, [gains[i] for i in live], reused,
+    spectra, _ = _spectra(D, K, N, first.seed, [records[i][0] for i in live], reused,
                           [T] * len(live), pc, memo, grow=False)
     for i, m, rest in zip(live, reused, spectra):
-        lam = np.concatenate([measured[i][:m * N], rest])
-        # a (trial, bin) whose spectrum failed or is not positive and finite
-        bad = ~np.all((lam > 0.0) & (lam < np.inf), axis=-1)
-        discarded[i] = (np.flatnonzero(bad) // N).tolist()
-        lam_all[i] = lam.reshape(T, N, D)
-
-    return [_aggregate(*args) for args in zip(configs, gains, sizes, lam_all, discarded)]
+        lam_all[i] = np.concatenate([records[i][3][:m * N], rest]).reshape(T, N, D)
+    return [_aggregate(*args) for args in zip(configs, records, lam_all)]
 
 
 def run_ensemble(config: McConfig) -> McEnsembleResult:
@@ -747,22 +724,19 @@ def run_ensemble(config: McConfig) -> McEnsembleResult:
     return run_ensembles([config])[0]
 
 
-def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
-               discarded) -> McEnsembleResult:
-    """The result of one config from its calibration, its (trials, relative
-    standard error) and its simulated gains (trials, bins, D), and the
-    trials to discard, at most 1 % of them.  Of the reductions it makes only
-    the pooled gain std and the total's mean and variance; the per-mode ones
-    are ``result_to_json``'s."""
-    if discarded:
-        discarded = sorted(set(discarded))
-        if len(discarded) > 0.01 * config.trials:
-            raise EnsembleError(
-                f"{len(discarded)} of {config.trials} trials discarded (> 1%)"
-            )
-        keep = np.ones(config.trials, dtype=bool)
-        keep[discarded] = False
-        lam_all = lam_all[keep]
+def _aggregate(config: McConfig, calibration: tuple, lam_all) -> McEnsembleResult:
+    """The result of one config from its calibration record (gain, n,
+    rel_se, spectra) and its simulated gains (trials, bins, D).  A trial
+    with a bin whose spectrum failed or is not positive and finite is
+    discarded, up to 1 % of them.  Of the reductions it makes only the
+    pooled gain std and the total's mean and variance; the per-mode ones are
+    ``result_to_json``'s."""
+    g_db, n, rel_se, _ = calibration
+    bad = ~np.all((lam_all > 0.0) & (lam_all < np.inf), axis=(1, 2))
+    discarded = np.flatnonzero(bad).tolist()
+    if len(discarded) > 0.01 * config.trials:
+        raise EnsembleError(f"{len(discarded)} of {config.trials} trials discarded (> 1%)")
+    lam_all = lam_all[~bad]
 
     shift_db = 0.0
     spec = config.spec
@@ -791,8 +765,8 @@ def _aggregate(config: McConfig, g_db: float, sized: tuple, lam_all,
         total_var=float(totals.var(ddof=1)),
         total_samples=totals.tolist(),
         discarded=tuple(discarded),
-        calibration_trials_used=sized[0],
-        calibration_rel_se=sized[1],
+        calibration_trials_used=n,
+        calibration_rel_se=rel_se,
         gain_samples=gains,
         cap_samples=caps,
     )

@@ -107,16 +107,25 @@ def variance_terms(cap_sigmas) -> tuple:
 def total_stats(stats: PerModeStats, model: CorrelationModel,
                 sigma_mdg_db: float) -> TotalCapacityStats:
     """Total-capacity Gaussian parameters from per-mode statistics and the
-    correlation model.  A non-positive computed variance means the empirical
-    correlation model is being used outside its fitted envelope and raises."""
+    correlation model.  A variance that comes out non-positive is taken
+    again over the deviations divided by their largest, s_max, whose squares
+    cannot underflow, giving sigma_ct = s_max sqrt(var); if it is still not
+    positive, the empirical correlation model is being used outside its
+    fitted envelope and it raises."""
     mu_ct = sum(stats.cap_means)
+    g = model.combined_coefficient(sigma_mdg_db)
     a, b = variance_terms(stats.cap_sigmas)
-    var = a + b * model.combined_coefficient(sigma_mdg_db)
+    var = a + b * g
     if any(s > 0 for s in stats.cap_sigmas) and var <= 0:
-        raise CorrelationRangeError(
-            f"computed total variance {var} is not positive; the correlation "
-            f"model is out of its valid range"
-        )
+        s_max = max(stats.cap_sigmas)
+        a, b = variance_terms([s / s_max for s in stats.cap_sigmas])
+        scaled = a + b * g
+        if not scaled > 0:
+            raise CorrelationRangeError(
+                f"computed total variance {var} is not positive; the correlation "
+                f"model is out of its valid range"
+            )
+        return TotalCapacityStats(mu_ct=mu_ct, sigma_ct=s_max * math.sqrt(scaled))
     return TotalCapacityStats(mu_ct=mu_ct, sigma_ct=math.sqrt(max(var, 0.0)))
 
 

@@ -91,6 +91,24 @@ class TestAnalytic:
                           "--sigma-mdg-db", "5", "--gamma", "0.9,0")
         assert code == 2
 
+    @pytest.mark.parametrize("gamma, expected_code", [("0,0", 0), ("0.9,0", 2)])
+    def test_underflowing_deviations_are_not_out_of_envelope(self, capsys, gamma,
+                                                             expected_code):
+        # the per-mode deviations are near 1e-170 bit, so their squares
+        # underflow to 0: gamma = (0, 0) is in range, and the total's
+        # deviation comes from the deviations scaled by their largest, while
+        # gamma0 = 0.9 is out of range on this link as on any other
+        code, out = run_cli(capsys, "analytic", "--modes", "33",
+                            "--snr-db=-1629.0138261833304",
+                            "--sigma-mdg-db=3.2861879741692056e-06", "--gamma", gamma)
+        assert code == expected_code
+        if code != 0:
+            assert out == ""
+            return
+        r = json.loads(out)
+        assert 0.0 < max(r["per_mode_cap_std_bits_per_s_per_hz"]) < 1e-160
+        assert r["total_std_bits_per_s_per_hz"] == pytest.approx(5.46e-170, rel=1e-3)
+
     def test_csv_format_and_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out = run_cli(capsys, "analytic", "--modes", "6", "--snr-db", "10",
@@ -474,6 +492,34 @@ class TestSimulateProperties:
         r = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
         assert all(math.isfinite(v) for v in _numbers(r))
         assert r["total_var"] >= 0.0
+
+
+class TestFitAndSweepProperties:
+    # D <= 12, few trials and sections: an example that calibrates up to the
+    # oracle's positivity limit stays within seconds
+    @settings(max_examples=20, deadline=None)
+    @given(command=st.sampled_from(["fit", "sweep"]), D=st.integers(2, 12), snr_db=_SNR_DB,
+           grid=st.lists(st.one_of(st.floats(0.0, 20.0), _SIGMA_MDG_DB), min_size=3,
+                        max_size=3, unique=True).map(sorted),
+           trials=st.integers(2, 30), sections=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_report_is_sound_or_a_typed_error(self, tmp_path_factory, command, D, snr_db,
+                                              grid, trials, sections, seed):
+        # each example fits in a cache of its own, so that a sweep never
+        # reads an earlier example's fit
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(cache.CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+            code, out, err = _run_strictly(
+                [command, "--modes", str(D), f"--snr-db={snr_db!r}",
+                 "--sigma-grid=" + ",".join(map(repr, grid)), "--trials", str(trials),
+                 "--sections", str(sections), "--seed", str(seed)])
+        if code != 0:
+            _assert_typed_error(code, out, err)
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            return
+        assert err == ""
+        r = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert all(math.isfinite(v) for v in _numbers(r))
 
 
 _ORACLE_ARGS = ["--snr-db", "10", "--trials", "40", "--sections", "5", "--seed", "3"]

@@ -135,13 +135,18 @@ def _rounds(monkeypatch):
     return rounds
 
 
+def _stds(records):
+    """The stds of ``measure_ensemble_std``'s (std, rel_se, spectra) records."""
+    return [std for std, _, _ in records]
+
+
 class TestCalibration:
     def test_zero_target_gives_zero_gain(self):
-        assert calibrate_section_gain(6, 100, [0.0], 50, 0) == ([0.0], [(0, None)])
+        assert calibrate_section_gain(6, 100, [0.0], 50, 0) == [(0.0, 0, None, None)]
 
     def test_hits_target_within_tolerance(self):
-        [g], _ = calibrate_section_gain(6, 100, [5.0], 400, seed=1)
-        [std] = mc.measure_ensemble_std(6, 100, [g], seed=1, trials=400)
+        [(g, *_)] = calibrate_section_gain(6, 100, [5.0], 400, seed=1)
+        [std] = _stds(mc.measure_ensemble_std(6, 100, [g], seed=1, trials=[400]))
         assert 4.95 <= std <= 5.05
 
     def test_steps_back_from_a_nan_measurement(self, monkeypatch):
@@ -154,15 +159,15 @@ class TestCalibration:
         original = mc.measure_ensemble_std
 
         def spy(*args, **kwargs):
-            stds = original(*args, **kwargs)
-            measured.extend(stds)
-            return stds
+            records = original(*args, **kwargs)
+            measured.extend(_stds(records))
+            return records
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
-        [g], _ = calibrate_section_gain(4, 100, [41.0], 400, seed=5)
+        [(g, *_)] = calibrate_section_gain(4, 100, [41.0], 400, seed=5)
         assert any(math.isnan(v) for v in measured)
         assert abs(measured[-1] - 41.0) <= 0.01 * 41.0
-        assert measured[-1:] == original(4, 100, [g], seed=5, trials=400)
+        assert measured[-1:] == _stds(original(4, 100, [g], seed=5, trials=[400]))
 
     @pytest.mark.parametrize("sigma, seed", [(39.0, 99), (40.0, 40)],
                              ids=["39.0", "40.0"])
@@ -174,15 +179,15 @@ class TestCalibration:
         original = mc.measure_ensemble_std
 
         def spy(*args, **kwargs):
-            stds = original(*args, **kwargs)
-            measured.extend(zip(args[2], stds))
-            return stds
+            records = original(*args, **kwargs)
+            measured.extend(zip(args[2], _stds(records)))
+            return records
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
-        [g], [(n, _)] = calibrate_section_gain(4, 100, [sigma], 400, seed=seed)
+        [(g, n, _, _)] = calibrate_section_gain(4, 100, [sigma], 400, seed=seed)
         assert any(math.isnan(std) and any(a > g_nan and s > sigma for a, s in measured[:k])
                    for k, (g_nan, std) in enumerate(measured))
-        [std] = original(4, 100, [g], seed=seed, trials=n)
+        [std] = _stds(original(4, 100, [g], seed=seed, trials=[n]))
         assert abs(std - sigma) <= 0.01 * sigma
 
     def test_only_a_nan_just_above_a_gain_measured_below_ends_it(self):
@@ -223,13 +228,13 @@ class TestCalibration:
         monkeypatch.setattr(mc, "_section_gains", with_a_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [std] = mc.measure_ensemble_std(4, 3, [2.0], seed=1, trials=10)
+            [std] = _stds(mc.measure_ensemble_std(4, 3, [2.0], seed=1, trials=[10]))
         assert math.isnan(std)
 
     def test_overflowing_gain_measures_nan_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [std] = mc.measure_ensemble_std(4, 100, [60.0], seed=1, trials=8)
+            [std] = _stds(mc.measure_ensemble_std(4, 100, [60.0], seed=1, trials=[8]))
         assert math.isnan(std)
 
     def test_overflowing_target_is_a_calibration_error(self):
@@ -243,7 +248,7 @@ class TestCalibration:
     def test_failing_batches_are_measured_row_by_row(self, monkeypatch):
         # every batch build of more than one row fails: each row is rebuilt
         # from its own stream, and the measurement keeps its bits
-        expected = mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=30)
+        expected = _stds(mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=[30, 30]))
         original = mc._haar_factors
 
         def batches_fail(D, K, rngs):
@@ -253,8 +258,8 @@ class TestCalibration:
 
         monkeypatch.setattr(mc, "_haar_factors", batches_fail)
         memo = []
-        assert mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=30,
-                                       memo=memo) == expected
+        assert _stds(mc.measure_ensemble_std(6, 20, [0.5, 1.0], seed=2, trials=[30, 30],
+                                             memo=memo)) == expected
         assert _held_trials(memo) == []
 
     @pytest.mark.parametrize("bins, power_control", [(1, POWER_CONTROL_ENSEMBLE),
@@ -289,10 +294,11 @@ class TestCalibration:
             assert np.all(np.isfinite(got))
             assert np.array_equal(got, want)
 
-    def test_failure_reports_the_evaluations_made(self):
+    def test_failure_reports_the_evaluations_made(self, monkeypatch):
         # the seed and the Newton step, then two secant steps
+        monkeypatch.setattr(mc, "_MAX_ITER", 2)
         with pytest.raises(CalibrationError, match=r"in 4 evaluations"):
-            calibrate_section_gain(6, 20, [5.0], 40, seed=1, tol=1e-12, max_iter=2)
+            calibrate_section_gain(6, 20, [5.0], 40, seed=1, tol=1e-12)
 
     def test_monotone_in_target(self):
         gains = [
@@ -314,14 +320,14 @@ class TestCalibration:
     @pytest.mark.parametrize("D, K", [(2, 1), (6, 20), (20, 5)])
     def test_subnormal_or_tiny_target_is_typed_or_finite(self, D, K, sigma):
         try:
-            [g], _ = calibrate_section_gain(D, K, [sigma], 20, seed=1)
+            [(g, *_)] = calibrate_section_gain(D, K, [sigma], 20, seed=1)
         except CalibrationError:
             return
         assert math.isfinite(g)
 
     def test_seed_within_tolerance_costs_one_evaluation(self, monkeypatch):
         rounds = _rounds(monkeypatch)
-        [g], _ = calibrate_section_gain(6, 20, [5.0], 40, seed=4)  # measures 4.960 dB
+        [(g, *_)] = calibrate_section_gain(6, 20, [5.0], 40, seed=4)  # measures 4.960 dB
         assert rounds == [[g]] and g == mc._seed(5.0, 6, 20)[0]
 
     @pytest.mark.parametrize("D, K, seed, gains_per_round", [
@@ -346,10 +352,10 @@ class TestCalibration:
     def test_gain_remeasures_within_tolerance_or_a_typed_error(self, D, K, sigma, seed,
                                                                trials, pc):
         try:
-            [g], _ = calibrate_section_gain(D, K, [sigma], trials, seed, power_control=pc)
+            [(g, *_)] = calibrate_section_gain(D, K, [sigma], trials, seed, power_control=pc)
         except CalibrationError:
             return
-        [std] = mc.measure_ensemble_std(D, K, [g], seed, trials, power_control=pc)
+        [std] = _stds(mc.measure_ensemble_std(D, K, [g], seed, [trials], power_control=pc))
         assert abs(std - sigma) <= 0.01 * sigma
 
 
@@ -363,7 +369,8 @@ class TestCalibrationSizing:
         (6, 20, 2, 400, 0.05), (6, 20, 2, 30, 0.01),
     ])
     def test_sample_is_capped_or_meets_the_se_target(self, D, K, seed, trials_cal, tol):
-        _, sizes = calibrate_section_gain(D, K, [2.5, 5.0, 7.5], trials_cal, seed, tol)
+        sizes = [r[1:3] for r in calibrate_section_gain(D, K, [2.5, 5.0, 7.5], trials_cal,
+                                                        seed, tol)]
         pilot = min(mc._PILOT_TRIALS, trials_cal)
         for n, se in sizes:
             assert pilot <= n <= trials_cal
@@ -375,11 +382,11 @@ class TestCalibrationSizing:
         # keeps the whole 400-trial sample
         for D, K, seed, lo, hi in [(20, 5, 1, 64, 64), (40, 100, 5, 64, 64),
                                    (12, 100, 5, 100, 200), (6, 100, 5, 400, 400)]:
-            _, sizes = calibrate_section_gain(D, K, [2.5, 5.0, 7.5], 400, seed)
+            sizes = [r[1:3] for r in calibrate_section_gain(D, K, [2.5, 5.0, 7.5], 400, seed)]
             assert all(lo <= n <= hi for n, _ in sizes), (D, K, sizes)
 
     def test_zero_target_measures_nothing(self):
-        assert calibrate_section_gain(6, 20, [0.0, 5.0], 40, 1)[1][0] == (0, None)
+        assert calibrate_section_gain(6, 20, [0.0, 5.0], 40, 1)[0][1:3] == (0, None)
 
     def test_pilot_trials_are_built_once(self, monkeypatch):
         # the pass that remakes a seed's measurement over its larger sample
@@ -407,7 +414,7 @@ class TestCalibrationSizing:
         monkeypatch.setattr(mc, "measure_ensemble_std", counted_measure)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(mc, "_section_gains", counted_gains)
-        [_], [(n, _)] = calibrate_section_gain(D, K, [5.0], 400, 1)
+        [(_, n, _, _)] = calibrate_section_gain(D, K, [5.0], 400, 1)
         pilot = mc._PILOT_TRIALS
         assert pilot < n < 400
         assert factored[:2] == [pilot, n - pilot] and not any(factored[2:])
@@ -417,23 +424,23 @@ class TestCalibrationSizing:
         # the std at the calibrated gain scatters over fresh samples of the
         # same size by about the sample's standard error, tol / 2
         tol, target = 0.01, 5.0
-        [g], [(n, se)] = calibrate_section_gain(20, 5, [target], 400, 1, tol)
+        [(g, n, se, _)] = calibrate_section_gain(20, 5, [target], 400, 1, tol)
         assert n < 400 and se <= 0.5 * tol
-        stds = [mc.measure_ensemble_std(20, 5, [g], seed, n)[0]
+        stds = [mc.measure_ensemble_std(20, 5, [g], seed, [n])[0][0]
                 for seed in range(101, 121)]
         assert np.std(stds, ddof=1) / target <= 2.0 * (0.5 * tol)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sizes_hold_for_any_worker_count(self, monkeypatch, workers):
-        lone = calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52)
+        lone = [r[:3] for r in calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52)]
         monkeypatch.setattr(mc, "_worker_count", lambda: workers)
-        assert calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52) == lone
+        assert [r[:3] for r in calibrate_section_gain(20, 5, [2.5, 5.0, 7.5], 400, 52)] == lone
 
     def test_grid_member_sizes_equal_lone_sizes(self):
         sigmas = [2.5, 5.0, 7.5]
-        gains, sizes = calibrate_section_gain(20, 5, sigmas, 400, 52)
-        for s, g, size in zip(sigmas, gains, sizes):
-            assert calibrate_section_gain(20, 5, [s], 400, 52) == ([g], [size])
+        records = calibrate_section_gain(20, 5, sigmas, 400, 52)
+        for s, record in zip(sigmas, records):
+            assert [r[:3] for r in calibrate_section_gain(20, 5, [s], 400, 52)] == [record[:3]]
 
     def test_relative_se_of_independent_values(self):
         # for T x D independent normal values the relative standard error
@@ -477,18 +484,18 @@ class TestCalibrationSizing:
         # that measures below the target and a NaN gain just above it
         rounds = _rounds(monkeypatch)
         try:
-            [g], [(n, _)] = calibrate_section_gain(2, 100, [sigma], 400, seed)
+            [(g, n, _, _)] = calibrate_section_gain(2, 100, [sigma], 400, seed)
         except CalibrationError as exc:
             bracket = re.search(r"finite at (\S+) dB and NaN at (\S+) dB, after \d+ "
                                 r"evaluations", str(exc))
             g_finite, g_nan = map(float, bracket.groups())
             assert 0.0 < g_nan - g_finite < 0.01 * g_finite
-            std_finite, std_nan = mc.measure_ensemble_std(2, 100, [g_finite, g_nan],
-                                                          seed, 400)
+            std_finite, std_nan = _stds(mc.measure_ensemble_std(2, 100, [g_finite, g_nan],
+                                                                seed, [400, 400]))
             assert std_finite < sigma and math.isnan(std_nan)
         else:
             assert n == 400
-            [std] = mc.measure_ensemble_std(2, 100, [g], seed, n)
+            [std] = _stds(mc.measure_ensemble_std(2, 100, [g], seed, [n]))
             assert abs(std - sigma) <= 0.01 * sigma
         assert len(rounds) <= 31  # 30 evaluations and the pilot's remake
 
@@ -501,10 +508,10 @@ class TestControlVariate:
     def test_one_section_is_exact(self, D):
         # each row's values are g times its centred unit draws, so
         # q = g^2 X / D and the controlled variance is g^2 (D - 1) / D
-        g, rel_se = 1.7, []
-        [std] = mc.measure_ensemble_std(D, 1, [g], seed=3, trials=50, rel_se=rel_se)
+        g = 1.7
+        [(std, rel_se, _)] = mc.measure_ensemble_std(D, 1, [g], seed=3, trials=[50])
         assert std == pytest.approx(g * math.sqrt((D - 1) / D), rel=1e-12)
-        assert rel_se[0] == pytest.approx(0.0, abs=1e-12)
+        assert rel_se == pytest.approx(0.0, abs=1e-12)
 
     def test_standard_error_matches_the_scatter(self):
         # D = 20, K = 5 at the pilot's 64 trials, about the gains of 2.5, 5
@@ -513,9 +520,9 @@ class TestControlVariate:
         gains = [1.13, 2.19, 3.13]
         stds, ses = [], []
         for seed in range(201, 241):
-            rel_se = []
-            stds.append(mc.measure_ensemble_std(20, 5, gains, seed, 64, rel_se=rel_se))
-            ses.append(rel_se)
+            records = mc.measure_ensemble_std(20, 5, gains, seed, [64] * len(gains))
+            stds.append(_stds(records))
+            ses.append([se for _, se, _ in records])
         scatter = np.std(stds, axis=0, ddof=1) / np.mean(stds, axis=0)
         np.testing.assert_allclose(scatter, np.mean(ses, axis=0), rtol=0.3)
 
@@ -561,21 +568,17 @@ def _held_trials(memo, bins=1):
     return trials
 
 
-# every worker count with the default build block (id: the count alone)
-# and with blocks of 1 and 7 trials
+# every worker count with the default build block (id: the count alone),
+# and blocks of 1 and 7 trials at 2 workers, whose cuts fall inside a block
 WORKERS_AND_BLOCKS = [pytest.param(w, b, id=str(w) if b is None else f"{w}-block{b}")
-                      for w in (1, 2, 3) for b in (None, 1, 7)]
+                      for w, b in ((1, None), (2, None), (3, None), (2, 1), (2, 7))]
 
 
 def _lone_run_cases():
-    """Every digest case at every entry of ``WORKERS_AND_BLOCKS``, but the
-    D = 6, K = 100 case at blocks of 1 and 7 trials at 2 workers only: its
-    400-trial calibration makes one build per block, seconds per case."""
+    """Every digest case at every entry of ``WORKERS_AND_BLOCKS``."""
     for case in ("d20_k5", "d6_k100_trial_2_bins", "d4_k100_rebuilt_chunks"):
         for entry in WORKERS_AND_BLOCKS:
-            workers, block = entry.values
-            if case != "d6_k100_trial_2_bins" or block is None or workers == 2:
-                yield pytest.param(case, workers, block, id=f"{case}-{entry.id}")
+            yield pytest.param(case, *entry.values, id=f"{case}-{entry.id}")
 
 
 def _set_block(monkeypatch, block):
@@ -641,10 +644,10 @@ class TestBitExactness:
             monkeypatch.setattr(mc, "_CHUNK_BUDGET", budget_chunks * 10 * K * D * D)
         memo = []
         for g in (0.2, 0.45, 0.9):
-            memoised = mc.measure_ensemble_std(D, K, [g], seed=4, trials=45,
-                                               memo=memo)
-            assert memoised == mc.measure_ensemble_std(D, K, [g], seed=4,
-                                                       trials=45)
+            memoised = _stds(mc.measure_ensemble_std(D, K, [g], seed=4, trials=[45],
+                                                     memo=memo))
+            assert memoised == _stds(mc.measure_ensemble_std(D, K, [g], seed=4,
+                                                             trials=[45]))
         # the default block is 91 trials, all held, so the memo holds it whole
         held = 91 if budget_chunks is None else budget_chunks * 10
         assert _held_trials(memo) == list(range(held))
@@ -757,14 +760,14 @@ class TestRunEnsembles:
         last, rows = {}, []
         calibrate, aggregate = mc.calibrate_section_gain, mc._aggregate
 
-        def keep_last(*args, spectra, **kwargs):
-            out = calibrate(*args, spectra=spectra, **kwargs)
-            last.update(spectra)
+        def keep_last(*args, **kwargs):
+            out = calibrate(*args, **kwargs)
+            last.update((i, spectra) for i, (_, _, _, spectra) in enumerate(out))
             return out
 
-        def keep_rows(config, g_db, sized, lam_all, discarded):
-            rows.append((g_db, sized[0], lam_all.reshape(-1, D).copy()))
-            return aggregate(config, g_db, sized, lam_all, discarded)
+        def keep_rows(config, calibration, lam_all):
+            rows.append((calibration[0], calibration[1], lam_all.reshape(-1, D).copy()))
+            return aggregate(config, calibration, lam_all)
 
         monkeypatch.setattr(mc, "calibrate_section_gain", keep_last)
         monkeypatch.setattr(mc, "_aggregate", keep_rows)
@@ -839,9 +842,9 @@ class TestRunEnsembles:
         original = mc.measure_ensemble_std
 
         def spy(*args, **kwargs):
-            stds = original(*args, **kwargs)
-            measured.extend(stds)
-            return stds
+            records = original(*args, **kwargs)
+            measured.extend(_stds(records))
+            return records
 
         monkeypatch.setattr(mc, "measure_ensemble_std", spy)
         results = run_ensembles(configs)
@@ -994,7 +997,7 @@ class TestCalibrationMemo:
         monkeypatch.setattr(mc, "_worker_count", lambda: 1)
         monkeypatch.setattr(mc, "_chunk_size", lambda D, K, bins: chunk)
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 3 * chunk * K * D * D)
-        expected = mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40)
+        expected = _stds(mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=[40]))
         original = mc._haar_factors
         builds = itertools.count()
 
@@ -1005,9 +1008,11 @@ class TestCalibrationMemo:
 
         monkeypatch.setattr(mc, "_haar_factors", second_build_fails)
         memo = []
-        assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
+        assert _stds(mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=[40],
+                                             memo=memo)) == expected
         assert _held_trials(memo) == list(range(chunk))
-        assert mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=40, memo=memo) == expected
+        assert _stds(mc.measure_ensemble_std(D, K, [0.5], seed=3, trials=[40],
+                                             memo=memo)) == expected
         assert _held_trials(memo) == list(range(3 * chunk))
 
     @pytest.mark.parametrize("block, bins", [(None, 1), (7, 2)])
@@ -1027,14 +1032,14 @@ class TestCalibrationMemo:
         # D = 40, K = 100: 25 trials fill the budget, so it holds three
         # whole 8-trial blocks; trials 24 and 25 are rebuilt
         memo = []
-        mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=26, memo=memo)
+        mc.measure_ensemble_std(40, 100, [0.5], seed=0, trials=[26], memo=memo)
         assert _held_trials(memo) == list(range(24))
         assert 24 * (100 - 1) * 40 * 40 <= mc._CHUNK_BUDGET  # K - 1 unitaries
 
     def test_chunk_above_budget_is_not_held(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 100)  # below one D = 6 trial
         memo = []
-        mc.measure_ensemble_std(6, 20, [0.5], seed=0, trials=3, memo=memo)
+        mc.measure_ensemble_std(6, 20, [0.5], seed=0, trials=[3], memo=memo)
         assert _held_trials(memo) == []
 
 
@@ -1252,10 +1257,8 @@ class TestRunEnsemble:
 def _calibrated_at(monkeypatch, g_db):
     """Skip calibration: every target gets the per-section gain ``g_db``,
     measured over no trials."""
-    def calibrate(D, K, targets, *args, spectra=None, **kwargs):
-        if spectra is not None:
-            spectra.update((i, np.empty((0, D))) for i in range(len(targets)))
-        return [g_db] * len(targets), [(0, None)] * len(targets)
+    def calibrate(D, K, targets, *args, **kwargs):
+        return [(g_db, 0, None, np.empty((0, D)))] * len(targets)
 
     monkeypatch.setattr(mc, "calibrate_section_gain", calibrate)
 
